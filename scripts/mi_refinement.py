@@ -7,43 +7,35 @@ log(K):
              falls faster than any power of the spacing and lands on the
              box-truncation floor almost immediately,
   averaged   cell integrals of the density (5-point Gauss-Legendre per
-             axis); a second-order method whose error is still resolvable,
-             so the expected factor-of-4 decay per halving is visible.
+             axis, the joint of tests/oracles.py); a second-order method
+             whose error is still resolvable, so the expected factor-of-4
+             decay per halving is visible.
 
 Usage: python3 scripts/mi_refinement.py --span 8 --grids 50,100,200,400
 """
 
 import argparse
-
-import numpy as np
+import sys
+from pathlib import Path
 
 from cvschmidt import (
     GaussianParams,
     build_grid,
-    density,
     sample_state,
     shannon_mi_gaussian,
     shannon_mi_numeric,
     wavefunction,
 )
 
+# The cell-averaged joint is the test suite's independent oracle.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles import gauss_legendre_cell_joint  # noqa: E402
+
 
 def midpoint_mi(params, n, span):
     grid = build_grid(params, n, span=span)
     state = sample_state(lambda x1, x2: wavefunction(params, x1, x2), grid)
     return shannon_mi_numeric(state.probabilities())
-
-
-def cell_averaged_mi(params, n, span):
-    grid = build_grid(params, n, span=span)
-    nodes, weights = np.polynomial.legendre.leggauss(5)
-    x1 = grid.midpoints1[:, None] + 0.5 * grid.dx1 * nodes[None, :]
-    x2 = grid.midpoints2[:, None] + 0.5 * grid.dx2 * nodes[None, :]
-    values = density(params, x1.reshape(-1)[:, None], x2.reshape(-1)[None, :])
-    values = values.reshape(n, 5, n, 5)
-    cell = np.einsum("iajb,a,b->ij", values, weights, weights)
-    joint = cell / cell.sum()
-    return shannon_mi_numeric(joint)
 
 
 def main():
@@ -65,7 +57,8 @@ def main():
     previous = None
     for n in (int(g) for g in args.grids.split(",")):
         err_mid = abs(midpoint_mi(params, n, args.span) - exact)
-        err_avg = abs(cell_averaged_mi(params, n, args.span) - exact)
+        err_avg = abs(shannon_mi_numeric(gauss_legendre_cell_joint(params, n, args.span))
+                      - exact)
         ratio = "" if previous is None else f"{previous / err_avg:14.2f}"
         print(f"{n:5d}   {err_mid:17.3e}   {err_avg:17.3e} {ratio}")
         previous = err_avg

@@ -15,8 +15,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
-from typing import NamedTuple
 
 import click
 import numpy as np
@@ -31,35 +29,6 @@ from .thermo import ThermoPoint
 from .util import format_float
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated inputs for one command invocation."""
-
-    command: str
-    params: gm.GaussianParams | None = None
-    n: int = 100
-    span: float = 6.0
-    count: int | None = None
-    log_base: str = "e"
-    output_format: str = "csv"
-    output_path: str | None = None
-    grids: tuple[int, ...] = ()
-    state_file: str | None = None
-    n_symbols: int = 1
-    weights: tuple[float, ...] | None = None
-    K: float | None = None
-    trials: int = 100000
-    seed: int = 0
-    beta_min: float = 1e-3
-    beta_max: float = 50.0
-    points: int = 200
-
-
-class Table(NamedTuple):
-    columns: list
-    rows: list
-
-
 def _cell(value):
     if isinstance(value, (np.floating, float)):
         return float(value)
@@ -68,9 +37,15 @@ def _cell(value):
     return str(value)
 
 
-def _render_csv(table: Table) -> str:
-    lines = [",".join(str(c) for c in table.columns)]
-    for row in table.rows:
+def _render(columns: list, rows: list, output_format: str) -> str:
+    if output_format == "json":
+        payload = {
+            "columns": [str(c) for c in columns],
+            "rows": [[_cell(v) for v in row] for row in rows],
+        }
+        return json.dumps(payload, indent=2) + "\n"
+    lines = [",".join(str(c) for c in columns)]
+    for row in rows:
         parts = []
         for value in row:
             value = _cell(value)
@@ -79,27 +54,10 @@ def _render_csv(table: Table) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_json(table: Table) -> str:
-    payload = {
-        "columns": [str(c) for c in table.columns],
-        "rows": [[_cell(v) for v in row] for row in table.rows],
-    }
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def _emit(config: RunConfig, table: Table) -> None:
-    text = _render_json(table) if config.output_format == "json" else _render_csv(table)
-    if config.output_path:
-        with open(config.output_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
-
-
-def _emit_json(config: RunConfig, payload: dict) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
-    if config.output_path:
-        with open(config.output_path, "w", encoding="utf-8") as fh:
+def _write(text: str, output_path) -> None:
+    """Send the rendered output to the --output file, or to stdout without one."""
+    if output_path:
+        with open(output_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         click.echo(text, nl=False)
@@ -108,150 +66,6 @@ def _emit_json(config: RunConfig, payload: dict) -> None:
 def _gaussian_pipeline(params: gm.GaussianParams, n: int, span: float):
     grid = build_grid(params, n, span)
     return sample_state(lambda a, b: gm.wavefunction(params, a, b), grid)
-
-
-def cmd_table1(config: RunConfig) -> Table:
-    """Closed-form weights and Schmidt number next to grid results."""
-    params = config.params
-    count = config.count or 6
-    theory_K = params.schmidt_number
-    theory = gm.analytic_weights(theory_K, count)
-    numeric = {}
-    for n in config.grids:
-        spectrum = decompose(_gaussian_pipeline(params, n, config.span))
-        numeric[n] = (spectrum.weights, schmidt_number(spectrum.weights))
-    columns = ["k", "theory"] + [f"n{n}" for n in config.grids]
-    rows = []
-    for k in range(count):
-        if theory[k] == 0.0:
-            continue
-        row = [k + 1, theory[k]]
-        for n in config.grids:
-            weights = numeric[n][0]
-            row.append(float(weights[k]) if k < weights.size else 0.0)
-        rows.append(row)
-    rows.append(["K", theory_K] + [numeric[n][1] for n in config.grids])
-    return Table(columns, rows)
-
-
-def cmd_modes(config: RunConfig) -> Table:
-    """Analytic and grid mode curves, sign-aligned per curve for plotting."""
-    params = config.params
-    count = config.count or 4
-    if count > config.n:
-        raise DomainError(f"cannot report {count} modes from an n={config.n} grid")
-    state = _gaussian_pipeline(params, config.n, config.span)
-    spectrum = decompose(state)
-    grid = state.grid
-    columns = ["axis", "k", "x", "analytic", "numeric"]
-    rows = []
-    for axis, x, modes, dx in (
-        (1, grid.midpoints1, spectrum.modes1, grid.dx1),
-        (2, grid.midpoints2, spectrum.modes2, grid.dx2),
-    ):
-        scale = 1.0 / math.sqrt(dx)
-        for k in range(count):
-            pair = gm.analytic_mode_pair(params, k, grid.midpoints1, grid.midpoints2)
-            analytic = pair[axis - 1]
-            numeric = modes[:, k] * scale
-            if float(np.dot(numeric, analytic)) < 0.0:
-                numeric = -numeric
-            for j in range(x.size):
-                rows.append([axis, k, float(x[j]), float(analytic[j]), float(numeric[j])])
-    return Table(columns, rows)
-
-
-def cmd_decompose(config: RunConfig) -> Table:
-    """Spectrum of a state file plus K, entropy, and the information report."""
-    state = read_state_file(config.state_file)
-    spectrum = decompose(state)
-    weights = spectrum.weights
-    K = schmidt_number(weights)
-    entropy = entanglement_entropy(weights, config.log_base)
-    report = info_report(K, config.n_symbols)
-    shown = weights if config.count is None else weights[: config.count]
-    rows = [[k, float(w)] for k, w in enumerate(shown)]
-    rows.extend(
-        [
-            ["K", K],
-            ["S", entropy],
-            ["n_symbols", report.n_symbols],
-            ["I_bits", report.I_bits],
-            ["I_nats", report.I_nats],
-            ["W", report.W],
-            ["w_log_space", int(report.w_log_space)],
-            ["p_coincidence", report.p_coincidence],
-        ]
-    )
-    return Table(["k", "lambda_k"], rows)
-
-
-def cmd_mutual_info(config: RunConfig) -> Table:
-    """Numeric mutual information of the sampled Gaussian vs. log K."""
-    state = _gaussian_pipeline(config.params, config.n, config.span)
-    numeric = shannon_mi_numeric(state.probabilities(), config.log_base)
-    analytic = gm.shannon_mi_gaussian(config.params.rho, config.log_base)
-    rows = [
-        ["n", config.n],
-        ["span", float(config.span)],
-        ["log_base", config.log_base],
-        ["mi_numeric", numeric],
-        ["mi_analytic", analytic],
-        ["abs_error", abs(numeric - analytic)],
-    ]
-    return Table(["quantity", "value"], rows)
-
-
-def cmd_thermo(config: RunConfig) -> Table:
-    """Log-spaced sweep of the temperature bridge."""
-    if config.beta_max < config.beta_min:
-        raise DomainError("beta-max must be >= beta-min")
-    if config.points < 1:
-        raise DomainError(f"points must be >= 1, got {config.points}")
-    betas = np.geomspace(config.beta_min, config.beta_max, config.points)
-    rows = []
-    for beta in betas:
-        point = ThermoPoint(float(beta))
-        rows.append(
-            [
-                point.beta,
-                point.schmidt_number(),
-                point.rho_squared(),
-                point.entropy(config.log_base),
-            ]
-        )
-    return Table(["beta", "K", "rho_squared", "entropy"], rows)
-
-
-def cmd_simulate(config: RunConfig) -> dict:
-    """Coincidence Monte Carlo report."""
-    report = run_coincidence_experiment(
-        list(config.weights), config.n_symbols, config.trials, config.seed
-    )
-    return {
-        "n_symbols": report.n_symbols,
-        "trials": report.trials,
-        "hits": report.hits,
-        "p_hat": report.p_hat,
-        "p_theory": report.p_theory,
-        "std_err": report.std_err,
-        "seed": report.seed,
-    }
-
-
-def cmd_info(config: RunConfig) -> Table:
-    """Information report for a Schmidt number and sample size."""
-    report = info_report(config.K, config.n_symbols)
-    rows = [
-        ["K", report.K],
-        ["n_symbols", report.n_symbols],
-        ["I_bits", report.I_bits],
-        ["I_nats", report.I_nats],
-        ["W", report.W],
-        ["w_log_space", int(report.w_log_space)],
-        ["p_coincidence", report.p_coincidence],
-    ]
-    return Table(["field", "value"], rows)
 
 
 def _params_options(fn):
@@ -306,7 +120,7 @@ def cli():
 @click.option("--count", type=int, default=6, show_default=True,
               help="Number of leading weights to report.")
 @_output_options
-def table1_command(rho, m1, m2, sigma1, sigma2, grids, span, count, output_format, output_path):
+def table1_command(grids, span, count, output_format, output_path, **gaussian):
     """Compare closed-form Schmidt weights with grid computations."""
     try:
         grid_sizes = tuple(int(g) for g in grids.split(",") if g.strip())
@@ -314,16 +128,26 @@ def table1_command(rho, m1, m2, sigma1, sigma2, grids, span, count, output_forma
         raise click.BadParameter(f"--grids must be comma-separated integers: {exc}")
     if not grid_sizes:
         raise click.BadParameter("--grids must name at least one grid size")
-    config = RunConfig(
-        command="table1",
-        params=gm.GaussianParams(m1=m1, m2=m2, sigma1=sigma1, sigma2=sigma2, rho=rho),
-        span=span,
-        count=count,
-        grids=grid_sizes,
-        output_format=output_format,
-        output_path=output_path,
-    )
-    _emit(config, cmd_table1(config))
+    params = gm.GaussianParams(**gaussian)
+    count = count or 6
+    theory_K = params.schmidt_number
+    theory = gm.analytic_weights(theory_K, count)
+    numeric = {}
+    for n in grid_sizes:
+        spectrum = decompose(_gaussian_pipeline(params, n, span))
+        numeric[n] = (spectrum.weights, schmidt_number(spectrum.weights))
+    rows = []
+    for k in range(count):
+        if theory[k] == 0.0:
+            continue
+        row = [k + 1, theory[k]]
+        for n in grid_sizes:
+            weights = numeric[n][0]
+            row.append(float(weights[k]) if k < weights.size else 0.0)
+        rows.append(row)
+    rows.append(["K", theory_K] + [numeric[n][1] for n in grid_sizes])
+    columns = ["k", "theory"] + [f"n{n}" for n in grid_sizes]
+    _write(_render(columns, rows, output_format), output_path)
 
 
 @cli.command("modes")
@@ -334,18 +158,30 @@ def table1_command(rho, m1, m2, sigma1, sigma2, grids, span, count, output_forma
 @click.option("--count", type=int, default=4, show_default=True,
               help="Number of leading mode pairs to emit.")
 @_output_options
-def modes_command(rho, m1, m2, sigma1, sigma2, n, span, count, output_format, output_path):
+def modes_command(n, span, count, output_format, output_path, **gaussian):
     """Emit analytic and grid Schmidt mode curves on the grid midpoints."""
-    config = RunConfig(
-        command="modes",
-        params=gm.GaussianParams(m1=m1, m2=m2, sigma1=sigma1, sigma2=sigma2, rho=rho),
-        n=n,
-        span=span,
-        count=count,
-        output_format=output_format,
-        output_path=output_path,
-    )
-    _emit(config, cmd_modes(config))
+    params = gm.GaussianParams(**gaussian)
+    count = count or 4
+    if count > n:
+        raise DomainError(f"cannot report {count} modes from an n={n} grid")
+    state = _gaussian_pipeline(params, n, span)
+    spectrum = decompose(state)
+    grid = state.grid
+    rows = []
+    for axis, x, modes, dx in (
+        (1, grid.midpoints1, spectrum.modes1, grid.dx1),
+        (2, grid.midpoints2, spectrum.modes2, grid.dx2),
+    ):
+        scale = 1.0 / math.sqrt(dx)
+        for k, analytic in zip(range(count), gm.analytic_modes(params, axis, x)):
+            # Sign-align each numeric curve with its analytic partner for plotting.
+            numeric = modes[:, k] * scale
+            if float(np.dot(numeric, analytic)) < 0.0:
+                numeric = -numeric
+            for j in range(x.size):
+                rows.append([axis, k, float(x[j]), float(analytic[j]), float(numeric[j])])
+    columns = ["axis", "k", "x", "analytic", "numeric"]
+    _write(_render(columns, rows, output_format), output_path)
 
 
 @cli.command("decompose")
@@ -358,16 +194,25 @@ def modes_command(rho, m1, m2, sigma1, sigma2, n, span, count, output_format, ou
 @_output_options
 def decompose_command(state_file, n_symbols, count, log_base, output_format, output_path):
     """Decompose a state file into its Schmidt spectrum and summary scalars."""
-    config = RunConfig(
-        command="decompose",
-        state_file=state_file,
-        n_symbols=n_symbols,
-        count=count,
-        log_base=log_base,
-        output_format=output_format,
-        output_path=output_path,
+    weights = decompose(read_state_file(state_file)).weights
+    K = schmidt_number(weights)
+    entropy = entanglement_entropy(weights, log_base)
+    report = info_report(K, n_symbols)
+    shown = weights if count is None else weights[:count]
+    rows = [[k, float(w)] for k, w in enumerate(shown)]
+    rows.extend(
+        [
+            ["K", K],
+            ["S", entropy],
+            ["n_symbols", report.n_symbols],
+            ["I_bits", report.I_bits],
+            ["I_nats", report.I_nats],
+            ["W", report.W],
+            ["w_log_space", int(report.w_log_space)],
+            ["p_coincidence", report.p_coincidence],
+        ]
     )
-    _emit(config, cmd_decompose(config))
+    _write(_render(["k", "lambda_k"], rows, output_format), output_path)
 
 
 @cli.command("mutual-info")
@@ -377,19 +222,21 @@ def decompose_command(state_file, n_symbols, count, log_base, output_format, out
               help="Half-width of the grid box in standard deviations.")
 @_BASE_OPTION
 @_output_options
-def mutual_info_command(rho, m1, m2, sigma1, sigma2, n, span, log_base,
-                        output_format, output_path):
+def mutual_info_command(n, span, log_base, output_format, output_path, **gaussian):
     """Numeric mutual information of the discretized Gaussian vs. log K."""
-    config = RunConfig(
-        command="mutual-info",
-        params=gm.GaussianParams(m1=m1, m2=m2, sigma1=sigma1, sigma2=sigma2, rho=rho),
-        n=n,
-        span=span,
-        log_base=log_base,
-        output_format=output_format,
-        output_path=output_path,
-    )
-    _emit(config, cmd_mutual_info(config))
+    params = gm.GaussianParams(**gaussian)
+    state = _gaussian_pipeline(params, n, span)
+    numeric = shannon_mi_numeric(state.probabilities(), log_base)
+    analytic = gm.shannon_mi_gaussian(params.rho, log_base)
+    rows = [
+        ["n", n],
+        ["span", float(span)],
+        ["log_base", log_base],
+        ["mi_numeric", numeric],
+        ["mi_analytic", analytic],
+        ["abs_error", abs(numeric - analytic)],
+    ]
+    _write(_render(["quantity", "value"], rows, output_format), output_path)
 
 
 @cli.command("thermo")
@@ -403,23 +250,26 @@ def mutual_info_command(rho, m1, m2, sigma1, sigma2, n, span, log_base,
 @_output_options
 def thermo_command(beta_min, beta_max, points, log_base, output_format, output_path):
     """Sweep the temperature bridge: beta, K, rho_squared, entropy."""
-    config = RunConfig(
-        command="thermo",
-        beta_min=beta_min,
-        beta_max=beta_max,
-        points=points,
-        log_base=log_base,
-        output_format=output_format,
-        output_path=output_path,
-    )
-    _emit(config, cmd_thermo(config))
+    if beta_max < beta_min:
+        raise DomainError("beta-max must be >= beta-min")
+    if points < 1:
+        raise DomainError(f"points must be >= 1, got {points}")
+    rows = []
+    for beta in np.geomspace(beta_min, beta_max, points):
+        point = ThermoPoint(float(beta))
+        rows.append(
+            [point.beta, point.schmidt_number(), point.rho_squared(), point.entropy(log_base)]
+        )
+    columns = ["beta", "K", "rho_squared", "entropy"]
+    _write(_render(columns, rows, output_format), output_path)
 
 
 @cli.command("simulate")
 @click.option("--rho", type=float, default=None,
               help="Build geometric weights from this correlation coefficient.")
 @click.option("--weights-file", type=click.Path(exists=True, dir_okay=False), default=None,
-              help="Plain text file with one weight per line (normalized on load).")
+              help="Plain text file with one weight per line; a sum within 1e-6 of 1 "
+                   "is renormalized to exactly 1.")
 @click.option("--n", "n_symbols", type=int, default=1, show_default=True,
               help="Symbols per string.")
 @click.option("--trials", type=int, default=100000, show_default=True,
@@ -434,16 +284,18 @@ def simulate_command(rho, weights_file, n_symbols, trials, seed, output_path):
     if rho is not None:
         weights = gm.truncated_weights(gm.schmidt_number_from_rho(rho))
     else:
-        weights = _load_weights_file(weights_file)
-    config = RunConfig(
-        command="simulate",
-        weights=tuple(weights),
-        n_symbols=n_symbols,
-        trials=trials,
-        seed=seed,
-        output_path=output_path,
-    )
-    _emit_json(config, cmd_simulate(config))
+        weights = _renormalized(_read_weights_file(weights_file))
+    report = run_coincidence_experiment(weights, n_symbols, trials, seed)
+    payload = {
+        "n_symbols": report.n_symbols,
+        "trials": report.trials,
+        "hits": report.hits,
+        "p_hat": report.p_hat,
+        "p_theory": report.p_theory,
+        "std_err": report.std_err,
+        "seed": report.seed,
+    }
+    _write(json.dumps(payload, indent=2) + "\n", output_path)
 
 
 @cli.command("info")
@@ -459,17 +311,20 @@ def info_command(K, rho, n_symbols, output_format, output_path):
         raise click.UsageError("exactly one of --K or --rho is required")
     if K is None:
         K = gm.schmidt_number_from_rho(rho)
-    config = RunConfig(
-        command="info",
-        K=K,
-        n_symbols=n_symbols,
-        output_format=output_format,
-        output_path=output_path,
-    )
-    _emit(config, cmd_info(config))
+    report = info_report(K, n_symbols)
+    rows = [
+        ["K", report.K],
+        ["n_symbols", report.n_symbols],
+        ["I_bits", report.I_bits],
+        ["I_nats", report.I_nats],
+        ["W", report.W],
+        ["w_log_space", int(report.w_log_space)],
+        ["p_coincidence", report.p_coincidence],
+    ]
+    _write(_render(["field", "value"], rows, output_format), output_path)
 
 
-def _load_weights_file(path) -> list[float]:
+def _read_weights_file(path) -> np.ndarray:
     weights = []
     with open(path, "r", encoding="utf-8") as fh:
         for i, line in enumerate(fh, start=1):
@@ -482,13 +337,18 @@ def _load_weights_file(path) -> list[float]:
                 raise DomainError(f"invalid weight {text!r} on line {i} of {path}")
     if not weights:
         raise DomainError(f"no weights found in {path}")
-    arr = np.asarray(weights, dtype=float)
-    if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
-        raise DomainError("weights must be finite and nonnegative")
-    total = float(arr.sum())
+    return np.asarray(weights, dtype=float)
+
+
+def _renormalized(weights: np.ndarray) -> np.ndarray:
+    """Rescale hand-written weights to sum 1, if they already do within 1e-6.
+
+    Signs and finiteness are left to the weight validator downstream.
+    """
+    total = float(weights.sum())
     if abs(total - 1.0) > 1e-6:
         raise DomainError(f"weights sum to {total!r}; expected 1 within 1e-6")
-    return list(arr / total)
+    return weights / total
 
 
 def main(argv=None) -> int:

@@ -28,6 +28,16 @@ from .util import format_float, log_divisor
 _TOTAL_TOL = 1e-12
 _NORM_TOL = 1e-12
 
+# State-file header fields: accepted JSON types and the stored type.
+_HEADER_TYPES = {
+    "n1": (int, int),
+    "n2": (int, int),
+    "lo1": ((int, float), float),
+    "hi1": ((int, float), float),
+    "lo2": ((int, float), float),
+    "hi2": ((int, float), float),
+}
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -43,8 +53,14 @@ class GridSpec:
     def __post_init__(self):
         if self.n1 < 2 or self.n2 < 2:
             raise DomainError("grid needs at least 2 cells per axis")
+        for name in ("lo1", "hi1", "lo2", "hi2"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not (self.hi1 > self.lo1 and self.hi2 > self.lo2):
             raise DomainError("grid bounds must satisfy hi > lo on each axis")
+        for axis in ("1", "2"):
+            if not math.isfinite(getattr(self, "hi" + axis) - getattr(self, "lo" + axis)):
+                raise DomainError(f"grid width hi{axis} - lo{axis} overflows")
 
     @property
     def dx1(self) -> float:
@@ -239,19 +255,20 @@ def read_state_file(path) -> DiscretizedState:
         raise StateFileError(f"invalid JSON header: {exc.msg}", line=1, column=exc.colno) from exc
     if not isinstance(header, dict):
         raise StateFileError("JSON header must be an object", line=1)
-    missing = [key for key in ("n1", "n2", "lo1", "hi1", "lo2", "hi2") if key not in header]
+    missing = [key for key in _HEADER_TYPES if key not in header]
     if missing:
         raise StateFileError(f"header is missing keys: {', '.join(missing)}", line=1)
+    fields = {}
+    for key, (kinds, cast) in _HEADER_TYPES.items():
+        value = header[key]
+        # bool is an int subclass, but JSON true/false is not a grid value.
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            kind = "an integer" if cast is int else "a number"
+            raise StateFileError(f"header field {key} must be {kind}, got {value!r}", line=1)
+        fields[key] = cast(value)
     try:
-        grid = GridSpec(
-            n1=int(header["n1"]),
-            n2=int(header["n2"]),
-            lo1=float(header["lo1"]),
-            hi1=float(header["hi1"]),
-            lo2=float(header["lo2"]),
-            hi2=float(header["hi2"]),
-        )
-    except (TypeError, ValueError, DomainError) as exc:
+        grid = GridSpec(**fields)
+    except DomainError as exc:
         raise StateFileError(f"invalid header values: {exc}", line=1) from exc
 
     body_lines = lines[1:]

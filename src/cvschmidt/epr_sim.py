@@ -20,9 +20,8 @@ import numpy as np
 
 from .errors import DomainError
 from .information import coincidence_probability
-from .schmidt import schmidt_number
-
-_SUM_TOL = 1e-9
+from .schmidt import _schmidt_number
+from .util import validate_weights
 
 
 @dataclass(frozen=True)
@@ -42,15 +41,7 @@ class CoincidenceReport:
     seed: int
 
 
-def _cumulative(weights) -> np.ndarray:
-    w = np.asarray(weights, dtype=float).reshape(-1)
-    if w.size == 0:
-        raise DomainError("weight list is empty")
-    if not np.all(np.isfinite(w)) or np.any(w < 0.0):
-        raise DomainError("weights must be finite and nonnegative")
-    total = math.fsum(w)
-    if abs(total - 1.0) > _SUM_TOL:
-        raise DomainError(f"weights sum to {total!r}, not 1")
+def _cumulative(w: np.ndarray) -> np.ndarray:
     cum = np.cumsum(w)
     # Guard the u ~ 1 edge against rounding in the cumulative sum.
     cum[-1] = 1.0
@@ -68,7 +59,7 @@ def sample_stream(weights, n: int, seed: int) -> np.ndarray:
     """
     if n < 1:
         raise DomainError(f"stream length must be >= 1, got {n}")
-    cum = _cumulative(weights)
+    cum = _cumulative(validate_weights(weights))
     rng = np.random.default_rng(seed)
     return _draw(rng, cum, n)
 
@@ -84,8 +75,9 @@ def run_coincidence_experiment(weights, n: int, trials: int, seed: int) -> Coinc
         raise DomainError(f"stream length must be >= 1, got {n}")
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
-    cum = _cumulative(weights)
-    K = schmidt_number(weights)
+    w = validate_weights(weights)
+    cum = _cumulative(w)
+    K = _schmidt_number(w)
     rng = np.random.default_rng(seed)
     first = _draw(rng, cum, (trials, n))
     second = _draw(rng, cum, (trials, n))

@@ -17,6 +17,7 @@ computed by quadrature.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -81,12 +82,6 @@ class GeometricSpectrum:
         if not K >= 1.0:
             raise DomainError(f"Schmidt number must be >= 1, got {K}")
         return cls(K=K, lambda0=2.0 / (K + 1.0), q=(K - 1.0) / (K + 1.0))
-
-    def weight(self, k: int) -> float:
-        return self.lambda0 * self.q**k
-
-    def weights(self, count: int) -> list[float]:
-        return analytic_weights(self.K, count)
 
     def tail_mass(self, count: int) -> float:
         """Total weight beyond the first `count` terms, q**count exactly."""
@@ -158,31 +153,42 @@ def truncated_weights(K: float, tail_mass: float = 1e-12) -> list[float]:
     return weights
 
 
-def hermite_function(k: int, u):
-    """Orthonormal Hermite function h_k(u) with weight exp(-u^2/2).
+def hermite_functions(u):
+    """Yield the orthonormal Hermite functions h_0(u), h_1(u), ... without end.
 
-    Evaluated by the scaled three-term recurrence
+    h_k is orthonormal with weight exp(-u^2/2) and is evaluated by the scaled
+    three-term recurrence
 
         h_0 = pi^(-1/4) exp(-u^2/2)
         h_{k+1} = sqrt(2/(k+1)) u h_k - sqrt(k/(k+1)) h_{k-1}
 
     which carries the Gaussian factor through every step, so intermediate
     values stay inside double range up to k of several hundred where the
-    raw Hermite polynomials would overflow near k ~ 160.
+    raw Hermite polynomials would overflow near k ~ 160.  Items are arrays
+    shaped like u (0-d for scalar u); each step costs one pass over u.
     """
+    u = np.asarray(u, dtype=float)
+    h_prev = np.zeros_like(u)
+    h = math.pi ** (-0.25) * np.exp(-0.5 * u * u)
+    for j in itertools.count():
+        yield h
+        h, h_prev = math.sqrt(2.0 / (j + 1)) * u * h - math.sqrt(j / (j + 1)) * h_prev, h
+
+
+def hermite_function(k: int, u):
+    """Orthonormal Hermite function h_k(u), item k of `hermite_functions`."""
     if k < 0:
         raise DomainError(f"mode index must be >= 0, got {k}")
-    u_arr = np.asarray(u, dtype=float)
-    h_prev = np.zeros_like(u_arr)
-    h = math.pi ** (-0.25) * np.exp(-0.5 * u_arr * u_arr)
-    for j in range(k):
-        h, h_prev = (
-            math.sqrt(2.0 / (j + 1)) * u_arr * h - math.sqrt(j / (j + 1)) * h_prev,
-            h,
-        )
+    h = next(itertools.islice(hermite_functions(u), k, None))
     if h.ndim == 0:
         return float(h)
     return h
+
+
+def _mode_argument(m: float, sigma: float, K: float, x):
+    """Scaled coordinate u and prefactor with psi_k(x) = prefactor * h_k(u)."""
+    u = ((np.asarray(x, dtype=float) - m) / sigma) * math.sqrt(0.5 * K)
+    return u, (K / (2.0 * sigma * sigma)) ** 0.25
 
 
 def analytic_mode(k: int, m: float, sigma: float, K: float, x):
@@ -195,8 +201,7 @@ def analytic_mode(k: int, m: float, sigma: float, K: float, x):
         raise DomainError("sigma must be positive")
     if not K >= 1.0:
         raise DomainError(f"Schmidt number must be >= 1, got {K}")
-    u = ((np.asarray(x, dtype=float) - m) / sigma) * math.sqrt(0.5 * K)
-    prefactor = (K / (2.0 * sigma * sigma)) ** 0.25
+    u, prefactor = _mode_argument(m, sigma, K, x)
     return prefactor * hermite_function(k, u)
 
 
@@ -215,6 +220,22 @@ def analytic_mode_pair(params: GaussianParams, k: int, x1, x2):
     return mode1, mode2
 
 
+def analytic_modes(params: GaussianParams, axis: int, x):
+    """Yield the modes psi_0, psi_1, ... of one axis (1 or 2) at the points x.
+
+    Item k equals analytic_mode_pair(params, k, ...)[axis - 1] bit for bit,
+    but one recurrence walk serves every k, so the first `count` modes cost
+    `count` steps instead of count^2 / 2.
+    """
+    K = schmidt_number_from_rho(params.rho)
+    m, sigma = (params.m1, params.sigma1) if axis == 1 else (params.m2, params.sigma2)
+    u, prefactor = _mode_argument(m, sigma, K, x)
+    flip_odd = axis == 2 and params.rho < 0.0
+    for k, h in enumerate(hermite_functions(u)):
+        mode = prefactor * h
+        yield -mode if flip_odd and k % 2 == 1 else mode
+
+
 def synthesize_wavefunction(
     params: GaussianParams,
     x1,
@@ -231,37 +252,23 @@ def synthesize_wavefunction(
     """
     K = schmidt_number_from_rho(params.rho)
     spec = GeometricSpectrum.from_K(K)
-    u1 = ((np.asarray(x1, dtype=float) - params.m1) / params.sigma1) * math.sqrt(0.5 * K)
-    u2 = ((np.asarray(x2, dtype=float) - params.m2) / params.sigma2) * math.sqrt(0.5 * K)
+    u1, pref1 = _mode_argument(params.m1, params.sigma1, K, x1)
+    u2, pref2 = _mode_argument(params.m2, params.sigma2, K, x2)
     if params.rho < 0.0:
         # h_k(-u) = (-1)^k h_k(u) gives the axis-2 orientation for rho < 0.
         u2 = -u2
-    pref1 = (K / (2.0 * params.sigma1 * params.sigma1)) ** 0.25
-    pref2 = (K / (2.0 * params.sigma2 * params.sigma2)) ** 0.25
-
-    h1_prev = np.zeros_like(u1)
-    h2_prev = np.zeros_like(u2)
-    h1 = math.pi ** (-0.25) * np.exp(-0.5 * u1 * u1)
-    h2 = math.pi ** (-0.25) * np.exp(-0.5 * u2 * u2)
     sqrt_q = math.sqrt(spec.q)
     sqrt_lam = math.sqrt(spec.lambda0)
 
     total = np.zeros(np.broadcast(u1, u2).shape)
-    for k in range(max_modes):
+    modes = zip(hermite_functions(u1), hermite_functions(u2))
+    for _, (h1, h2) in zip(range(max_modes), modes):
         if sqrt_lam < sqrt_weight_floor:
             break
         total = total + sqrt_lam * (pref1 * h1) * (pref2 * h2)
         sqrt_lam *= sqrt_q
         if sqrt_lam == 0.0:
             break
-        h1, h1_prev = (
-            math.sqrt(2.0 / (k + 1)) * u1 * h1 - math.sqrt(k / (k + 1)) * h1_prev,
-            h1,
-        )
-        h2, h2_prev = (
-            math.sqrt(2.0 / (k + 1)) * u2 * h2 - math.sqrt(k / (k + 1)) * h2_prev,
-            h2,
-        )
     if total.ndim == 0:
         return float(total)
     return total

@@ -22,12 +22,7 @@ import numpy as np
 
 from .discretize import DiscretizedState, GridSpec
 from .errors import DomainError, NumericalError
-from .util import log_divisor
-
-# Floating-point dust from squaring singular values; anything more negative
-# is treated as caller error.
-_NEGATIVE_WEIGHT_TOL = -1e-14
-_WEIGHT_SUM_TOL = 1e-10
+from .util import log_divisor, validate_weights
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,23 +64,6 @@ class SchmidtSpectrum:
         return int(self.weights.size)
 
 
-def _clean_weights(weights) -> np.ndarray:
-    w = np.asarray(weights, dtype=float).reshape(-1)
-    if w.size == 0:
-        raise DomainError("weight list is empty")
-    if not np.all(np.isfinite(w)):
-        raise DomainError("weights must be finite")
-    if np.any(w < _NEGATIVE_WEIGHT_TOL):
-        raise DomainError(f"weight below {_NEGATIVE_WEIGHT_TOL} is not a rounding artifact")
-    w = np.where(w < 0.0, 0.0, w)
-    total = math.fsum(w)
-    if total == 0.0:
-        raise DomainError("weights are all zero")
-    if abs(total - 1.0) > _WEIGHT_SUM_TOL:
-        raise DomainError(f"weights sum to {total!r}, not 1")
-    return w
-
-
 def decompose(state: DiscretizedState) -> SchmidtSpectrum:
     """Schmidt decomposition of a normalized discretized state.
 
@@ -116,7 +94,11 @@ def schmidt_number(weights) -> float:
     ratio below the mathematical floor of 1 by an ulp; that is clamped so
     downstream maps defined for K >= 1 always accept the result.
     """
-    w = _clean_weights(weights)
+    return _schmidt_number(validate_weights(weights))
+
+
+def _schmidt_number(w: np.ndarray) -> float:
+    # `w` has already passed validate_weights.
     return max(1.0, 1.0 / math.fsum(w * w))
 
 
@@ -127,7 +109,7 @@ def entanglement_entropy(weights, log_base=math.e) -> float:
     clamped before evaluation.
     """
     divisor = log_divisor(log_base)
-    w = _clean_weights(weights)
+    w = validate_weights(weights)
     positive = w[w > 0.0]
     entropy = -math.fsum(positive * np.log(positive))
     return max(entropy, 0.0) / divisor

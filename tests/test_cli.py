@@ -14,9 +14,11 @@ import numpy as np
 import pytest
 
 from cvschmidt import (
+    GaussianParams,
     GridSpec,
     K_from_beta,
     NumericalError,
+    analytic_mode_pair,
     build_grid,
     closed_form_entropy,
     sample_state,
@@ -162,6 +164,20 @@ class TestModes:
                 assert curve.size == 64
                 assert float(np.max(np.abs(curve - curve[::-1]))) <= 1e-10
 
+    def test_negative_correlation_analytic_column_is_the_mode_pair(self, capsys):
+        code, out, _ = run_cli(capsys, "modes", "--rho", "-0.9", "--count", "12")
+        assert code == 0
+        _, rows = parse_csv(out)
+        params = GaussianParams(m1=1.0, m2=-1.0, sigma1=2.0, sigma2=1.0, rho=-0.9)
+        grid = build_grid(params, 100)
+        for axis in (1, 2):
+            for k in range(12):
+                emitted = np.array([float(r[3]) for r in rows
+                                    if r[0] == str(axis) and r[1] == str(k)])
+                expected = analytic_mode_pair(params, k, grid.midpoints1,
+                                              grid.midpoints2)[axis - 1]
+                assert emitted.tobytes() == expected.tobytes()
+
     def test_requesting_more_modes_than_grid_cells_fails(self, capsys):
         code, _, err = run_cli(capsys, "modes", "--n", "10", "--count", "20")
         assert code == 1
@@ -215,6 +231,20 @@ class TestDecompose:
         code, _, err = run_cli(capsys, "decompose", str(path))
         assert code == 1
         assert "error" in err.lower()
+
+    @pytest.mark.parametrize("fields", [
+        {"n1": 2.7}, {"n1": True}, {"n2": "2"}, {"lo1": -1e308, "hi1": 1e308},
+    ])
+    def test_inexact_header_is_an_input_error(self, capsys, tmp_path, fields):
+        header = {"n1": 2, "n2": 2, "lo1": 0.0, "hi1": 1.0, "lo2": 0.0, "hi2": 1.0}
+        header.update(fields)
+        path = tmp_path / "state.csv"
+        path.write_text(json.dumps(header) + "\n0.5,0.5\n0.5,0.5\n")
+        code, out, err = run_cli(capsys, "decompose", str(path))
+        assert code == 1
+        assert out == ""
+        assert "line 1" in err
+        assert next(iter(fields)) in err
 
     def test_missing_file_fails(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "decompose", str(tmp_path / "nope.csv"))

@@ -61,6 +61,25 @@ class TestGridSpec:
         with pytest.raises(DomainError):
             build_grid(reference_params, 50, span=0.0)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"lo1": -math.inf}, "lo1 must be finite"),
+        ({"hi2": math.nan}, "hi2 must be finite"),
+        ({"lo1": -1e308, "hi1": 1e308}, "hi1 - lo1"),
+        ({"lo2": -1e308, "hi2": 1e308}, "hi2 - lo2"),
+    ])
+    def test_nonfinite_bounds_or_width_rejected(self, kwargs, message):
+        base = {"n1": 4, "n2": 4, "lo1": -1.0, "hi1": 1.0, "lo2": -1.0, "hi2": 1.0}
+        base.update(kwargs)
+        with pytest.raises(DomainError, match=message):
+            GridSpec(**base)
+
+    @pytest.mark.parametrize("sigma1, message", [(2.0, "lo1 must be finite"),
+                                                 (1.0, "hi1 - lo1")])
+    def test_build_grid_rejects_overflowing_box(self, sigma1, message):
+        params = GaussianParams(sigma1=sigma1)
+        with pytest.raises(DomainError, match=message):
+            build_grid(params, 10, span=1e308)
+
 
 class TestSampleState:
     def test_reference_state_is_nearly_normalized_before_rescale(self, reference_params):
@@ -279,6 +298,28 @@ class TestStateFiles:
                         '"lo2": 0.0, "hi2": 1.0}\n1.0,1.0\n')
         with pytest.raises(StateFileError):
             read_state_file(path)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"n1": 2.7}, "header field n1 must be an integer"),
+        ({"n1": 2.0}, "header field n1 must be an integer"),
+        ({"n1": True}, "header field n1 must be an integer"),
+        ({"n2": False}, "header field n2 must be an integer"),
+        ({"n2": "2"}, "header field n2 must be an integer"),
+        ({"lo1": "0.0"}, "header field lo1 must be a number"),
+        ({"hi2": None}, "header field hi2 must be a number"),
+        ({"lo1": -1e308, "hi1": 1e308}, "hi1 - lo1"),
+        ({"lo2": -1e308, "hi2": 1e308}, "hi2 - lo2"),
+        ({"lo1": math.nan}, "lo1 must be finite"),
+        ({"hi2": math.inf}, "hi2 must be finite"),
+    ])
+    def test_header_values_must_be_exact(self, tmp_path, fields, message):
+        header = {"n1": 2, "n2": 2, "lo1": 0.0, "hi1": 1.0, "lo2": 0.0, "hi2": 1.0}
+        header.update(fields)
+        path = tmp_path / "state.csv"
+        path.write_text(json.dumps(header) + "\n0.5,0.5\n0.5,0.5\n")
+        with pytest.raises(StateFileError, match=message) as excinfo:
+            read_state_file(path)
+        assert excinfo.value.line == 1
 
     def test_row_count_mismatch_reports_line(self, tmp_path):
         path = tmp_path / "state.csv"

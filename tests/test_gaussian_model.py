@@ -25,6 +25,7 @@ from cvschmidt import (
     truncated_weights,
     wavefunction,
 )
+from cvschmidt.gaussian_model import hermite_functions
 
 REFERENCE_K = 2.29415733870562
 REFERENCE_WEIGHTS = (
@@ -236,6 +237,11 @@ class TestSchmidtModes:
         left = hermite_function(k, -u)
         right = hermite_function(k, u)
         assert left == pytest.approx((-1.0) ** k * right, rel=1e-12, abs=1e-300)
+
+    def test_hermite_generator_items_match_hermite_function(self):
+        u = np.array([-30.0, -2.5, -0.0, 0.0, 1e-300, 0.75, 4.0, 30.0])
+        for k, h in zip(range(300), hermite_functions(u)):
+            assert h.tobytes() == hermite_function(k, u).tobytes()
 
     def test_hermite_recurrence_stable_at_high_order(self):
         values = hermite_function(511, np.array([0.0, 5.0, 30.0]))
