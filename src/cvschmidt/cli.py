@@ -63,6 +63,11 @@ def _write(text: str, output_path) -> None:
         click.echo(text, nl=False)
 
 
+def _require_count(count: int) -> None:
+    if count < 1:
+        raise DomainError(f"count must be >= 1, got {count}")
+
+
 def _gaussian_pipeline(params: gm.GaussianParams, n: int, span: float):
     grid = build_grid(params, n, span)
     return sample_state(lambda a, b: gm.wavefunction(params, a, b), grid)
@@ -129,7 +134,6 @@ def table1_command(grids, span, count, output_format, output_path, **gaussian):
     if not grid_sizes:
         raise click.BadParameter("--grids must name at least one grid size")
     params = gm.GaussianParams(**gaussian)
-    count = count or 6
     theory_K = params.schmidt_number
     theory = gm.analytic_weights(theory_K, count)
     numeric = {}
@@ -161,7 +165,7 @@ def table1_command(grids, span, count, output_format, output_path, **gaussian):
 def modes_command(n, span, count, output_format, output_path, **gaussian):
     """Emit analytic and grid Schmidt mode curves on the grid midpoints."""
     params = gm.GaussianParams(**gaussian)
-    count = count or 4
+    _require_count(count)
     if count > n:
         raise DomainError(f"cannot report {count} modes from an n={n} grid")
     state = _gaussian_pipeline(params, n, span)
@@ -194,6 +198,8 @@ def modes_command(n, span, count, output_format, output_path, **gaussian):
 @_output_options
 def decompose_command(state_file, n_symbols, count, log_base, output_format, output_path):
     """Decompose a state file into its Schmidt spectrum and summary scalars."""
+    if count is not None:
+        _require_count(count)
     weights = decompose(read_state_file(state_file)).weights
     K = schmidt_number(weights)
     entropy = entanglement_entropy(weights, log_base)

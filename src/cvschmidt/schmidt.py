@@ -3,8 +3,10 @@
 For a matrix, the Schmidt decomposition is the singular value
 decomposition: weights are squared singular values and the paired mode
 columns are the left/right singular vectors.  A dense SVD is exact for
-this purpose and stays trivially fast at the few-hundred-point grids this
-package targets, so no iterative or partial factorization is used.
+this purpose, and no iterative or partial factorization is used.  Its
+O(n1 * n2 * min(n1, n2)) cost is the largest part of a sample, decompose
+and mutual-information pipeline at n = 1000, where every other stage is
+O(n1 * n2).
 
 Sign fixing: each weight's mode pair is flipped jointly so that the
 axis-1 column's largest-magnitude entry is positive.  A joint flip leaves

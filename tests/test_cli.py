@@ -123,6 +123,12 @@ class TestTable1:
         assert code == 1
         assert "error" in err.lower()
 
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_nonpositive_count_is_an_input_error(self, capsys, count):
+        code, out, err = run_cli(capsys, "table1", "--count", count)
+        assert (code, out) == (1, "")
+        assert f"count must be >= 1, got {count}" in err
+
 
 class TestModes:
     def test_numeric_curves_match_analytic_curves(self, capsys):
@@ -183,6 +189,12 @@ class TestModes:
         assert code == 1
         assert "error" in err.lower()
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_nonpositive_count_is_an_input_error(self, capsys, count):
+        code, out, err = run_cli(capsys, "modes", "--n", "10", "--count", count)
+        assert (code, out) == (1, "")
+        assert f"count must be >= 1, got {count}" in err
+
 
 class TestDecompose:
     def test_gaussian_state_file(self, capsys, tmp_path, reference_params):
@@ -213,6 +225,15 @@ class TestDecompose:
         _, rows = parse_csv(out)
         scalars = {r[0]: r[1] for r in rows if not r[0].isdigit()}
         assert abs(float(scalars["K"]) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("count", ["0", "-18"])
+    def test_nonpositive_count_is_an_input_error(self, capsys, tmp_path, reference_params,
+                                                 count):
+        path = tmp_path / "state.csv"
+        write_gaussian_state_file(path, reference_params, 30)
+        code, out, err = run_cli(capsys, "decompose", str(path), "--count", count)
+        assert (code, out) == (1, "")
+        assert f"count must be >= 1, got {count}" in err
 
     def test_malformed_file_reports_position_and_fails(self, capsys, tmp_path):
         path = tmp_path / "broken.csv"

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cvschmidt import (
@@ -15,16 +15,53 @@ from cvschmidt import (
     GridSpec,
     StateFileError,
     build_grid,
+    decompose,
     density,
+    entanglement_entropy,
     marginals,
     read_state_file,
     sample_state,
+    schmidt_number,
     shannon_mi_gaussian,
     shannon_mi_numeric,
     wavefunction,
     write_state_file,
 )
 from oracles import gauss_legendre_cell_joint
+
+
+_HEADER_KEYS = ("n1", "n2", "lo1", "hi1", "lo2", "hi2")
+_MISSING = object()
+_ANY_JSON_SCALAR = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=4),
+    st.integers(),
+    st.integers(-3, 5),
+    st.floats(),
+    st.sampled_from([1e308, -1e308, 5e-324, 10**400, -10**400]),
+)
+
+
+@st.composite
+def _headers(draw):
+    """A valid header with up to three fields replaced by any JSON scalar or removed."""
+    lo1, lo2 = draw(st.floats(-10.0, 10.0)), draw(st.floats(-10.0, 10.0))
+    header = {
+        "n1": draw(st.integers(2, 5)),
+        "n2": draw(st.integers(2, 5)),
+        "lo1": lo1,
+        "hi1": lo1 + draw(st.floats(0.1, 10.0)),
+        "lo2": lo2,
+        "hi2": lo2 + draw(st.floats(0.1, 10.0)),
+    }
+    for key in draw(st.lists(st.sampled_from(_HEADER_KEYS), max_size=3, unique=True)):
+        value = draw(st.one_of(st.just(_MISSING), _ANY_JSON_SCALAR))
+        if value is _MISSING:
+            del header[key]
+        else:
+            header[key] = value
+    return header
 
 
 def gaussian_state(params, n, span=6.0):
@@ -66,6 +103,9 @@ class TestGridSpec:
         ({"hi2": math.nan}, "hi2 must be finite"),
         ({"lo1": -1e308, "hi1": 1e308}, "hi1 - lo1"),
         ({"lo2": -1e308, "hi2": 1e308}, "hi2 - lo2"),
+        ({"lo1": 0.0, "hi1": 1e308, "lo2": 0.0, "hi2": 1e308}, "cell area"),
+        ({"lo1": 0.0, "hi1": 5e-324}, "cell area"),
+        ({"n2": 10**400}, "cell count"),
     ])
     def test_nonfinite_bounds_or_width_rejected(self, kwargs, message):
         base = {"n1": 4, "n2": 4, "lo1": -1.0, "hi1": 1.0, "lo2": -1.0, "hi2": 1.0}
@@ -107,7 +147,8 @@ class TestSampleState:
     def test_scale_invariance(self, reference_params):
         grid = build_grid(reference_params, 40)
         base = sample_state(lambda x1, x2: wavefunction(reference_params, x1, x2), grid)
-        for factor in (1e-6, 3.7, 1e6):
+        # 1e-170 and 1e200 push the squared norm out of the float range.
+        for factor in (1e-170, 1e-6, 3.7, 1e6, 1e200):
             scaled = sample_state(
                 lambda x1, x2: factor * wavefunction(reference_params, x1, x2), grid)
             assert float(np.max(np.abs(scaled.amplitudes - base.amplitudes))) <= 1e-12
@@ -183,6 +224,11 @@ class TestMarginals:
         with pytest.raises(DomainError):
             marginals(joint)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_joint_rejected(self, bad):
+        with pytest.raises(DomainError, match="must be finite"):
+            marginals(np.array([[bad, 0.25], [0.25, 0.25]]))
+
 
 class TestShannonMiNumeric:
     def test_product_joint_has_zero_information(self):
@@ -252,6 +298,25 @@ class TestShannonMiNumeric:
         with pytest.raises(DomainError):
             shannon_mi_numeric(np.array([[0.7, 0.2], [0.2, -0.1]]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_joint_rejected(self, bad):
+        with pytest.raises(DomainError, match="must be finite"):
+            shannon_mi_numeric(np.array([[bad, 0.25], [0.25, 0.25]]))
+
+    @pytest.mark.parametrize("rho", [0.9, 0.9995])
+    def test_pairwise_sum_matches_exact_sum_at_n1000(self, rho):
+        params = GaussianParams(m1=1.0, m2=-1.0, sigma1=2.0, sigma2=1.0, rho=rho)
+        p = gaussian_state(params, 1000, span=8.0).probabilities()
+        # The library's terms, summed exactly: only the accumulation differs.
+        p1, p2 = p.sum(axis=1), p.sum(axis=0)
+        mask = p > 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = (p / p1[:, None]) / p2[None, :]
+        exact = math.fsum(p[mask] * np.log(ratio[mask]))
+        mi = shannon_mi_numeric(p)
+        assert abs(mi - exact) <= 1e-14
+        assert abs(mi - shannon_mi_gaussian(rho)) <= 1e-12
+
 
 class TestStateFiles:
     def test_round_trip_preserves_state(self, tmp_path, reference_params):
@@ -277,6 +342,17 @@ class TestStateFiles:
         path.write_text(header + "\n7.0,7.0\n7.0,7.0\n")
         state = read_state_file(path)
         np.testing.assert_allclose(state.amplitudes, 0.5, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("value", ["1e-300", "1e300", "1.7e308"])
+    def test_reader_normalizes_values_whose_squared_norm_leaves_float_range(
+            self, tmp_path, value):
+        path = tmp_path / "state.csv"
+        header = json.dumps({"n1": 2, "n2": 2, "lo1": 0.0, "hi1": 1.0,
+                             "lo2": 0.0, "hi2": 1.0})
+        path.write_text(header + f"\n{value},{value}\n{value},{value}\n")
+        state = read_state_file(path)
+        np.testing.assert_allclose(state.amplitudes, 0.5, rtol=0.0, atol=1e-15)
+        assert state.raw_norm == pytest.approx(float(value), rel=1e-15)
 
     def test_bad_header_reports_position(self, tmp_path):
         path = tmp_path / "state.csv"
@@ -318,6 +394,42 @@ class TestStateFiles:
         path = tmp_path / "state.csv"
         path.write_text(json.dumps(header) + "\n0.5,0.5\n0.5,0.5\n")
         with pytest.raises(StateFileError, match=message) as excinfo:
+            read_state_file(path)
+        assert excinfo.value.line == 1
+
+    @given(header=_headers())
+    @example(header={"n1": 3, "n2": 2, "lo1": -1, "hi1": 1.0, "lo2": 0.0, "hi2": 5.0})
+    @example(header={"n1": 2, "n2": 2, "lo1": 0.0, "hi1": 1e308, "lo2": 0.0, "hi2": 1e308})
+    @example(header={"n1": 2, "n2": 2, "lo1": 0.0, "hi1": 5e-324, "lo2": 0.0, "hi2": 1.0})
+    @example(header={"n1": 2, "n2": 2, "lo1": -10**400, "hi1": 1.0, "lo2": 0.0, "hi2": 1.0})
+    @example(header={"n1": 2, "n2": 10**400, "lo1": 0.0, "hi1": 1.0, "lo2": 0.0, "hi2": 1.0})
+    @example(header={"n1": 7, "n2": 2, "lo1": 0.0, "hi1": 1.0, "lo2": 0.0, "hi2": 1.0})
+    @settings(max_examples=300, deadline=None)
+    def test_any_json_header_loads_or_fails_at_line_one(self, tmp_path_factory, header):
+        n1, n2 = header.get("n1"), header.get("n2")
+        body_fits = type(n1) is int and type(n2) is int and 2 <= n1 <= 5 and 2 <= n2 <= 5
+        if not body_fits:
+            n1 = n2 = 2
+        path = tmp_path_factory.getbasetemp() / "fuzzed_header.csv"
+        path.write_text(json.dumps(header) + "\n" + ("0.5," * (n2 - 1) + "0.5\n") * n1)
+        try:
+            state = read_state_file(path)
+        except StateFileError as exc:
+            # A valid header for a grid larger than the 2 x 2 body written
+            # here can only fail the body's row or value count.
+            assert exc.line == 1 or (not body_fits and (
+                "amplitude rows" in str(exc) or "values per row" in str(exc)))
+        else:
+            assert state.grid == GridSpec(**{key: header[key] for key in _HEADER_KEYS})
+
+    @pytest.mark.parametrize("header", [
+        '{"n1": ' + "1" * 5000 + ', "n2": 2, "lo1": 0, "hi1": 1, "lo2": 0, "hi2": 1}',
+        "[" * 100000 + "]" * 100000,
+    ])
+    def test_header_beyond_parser_limits_fails_at_line_one(self, tmp_path, header):
+        path = tmp_path / "state.csv"
+        path.write_text(header + "\n0.5,0.5\n0.5,0.5\n")
+        with pytest.raises(StateFileError, match="parser's limits") as excinfo:
             read_state_file(path)
         assert excinfo.value.line == 1
 
@@ -393,3 +505,42 @@ class TestDiscretizedState:
         state = sample_state(
             lambda x1, x2: np.sin(3 * x1) * np.cos(2 * x2) + 1.5, grid)
         assert abs(math.fsum(state.probabilities().ravel()) - 1.0) <= 1e-12
+
+
+class TestGridSizedSums:
+    def test_exact_summation_only_sees_weight_vectors(self, monkeypatch, reference_params):
+        exact_fsum = math.fsum
+        sizes = []
+
+        def recording_fsum(items):
+            items = list(items)
+            sizes.append(len(items))
+            return exact_fsum(items)
+
+        monkeypatch.setattr(math, "fsum", recording_fsum)
+        n = 300
+        state = gaussian_state(reference_params, n, span=8.0)
+        weights = decompose(state).weights
+        schmidt_number(weights)
+        entanglement_entropy(weights)
+        shannon_mi_numeric(state.probabilities())
+        marginals(state.probabilities())
+        assert sizes
+        assert max(sizes) <= n
+
+    @pytest.mark.parametrize("offset", [2e-12, -2e-12])
+    def test_norm_check_fires_just_outside_tolerance(self, reference_params, offset):
+        state = gaussian_state(reference_params, 300, span=8.0)
+        with pytest.raises(DomainError, match="squared norm"):
+            DiscretizedState(grid=state.grid,
+                             amplitudes=state.amplitudes * math.sqrt(1.0 + offset))
+        DiscretizedState(grid=state.grid,
+                         amplitudes=state.amplitudes * math.sqrt(1.0 + offset / 4))
+
+    @pytest.mark.parametrize("offset", [2e-12, -2e-12])
+    def test_joint_sum_check_fires_just_outside_tolerance(self, reference_params, offset):
+        joint = gaussian_state(reference_params, 300, span=8.0).probabilities()
+        for check in (marginals, shannon_mi_numeric):
+            with pytest.raises(DomainError, match="sums to"):
+                check(joint * (1.0 + offset))
+            check(joint * (1.0 + offset / 4))
