@@ -170,6 +170,9 @@ def modes_command(n, span, count, output_format, output_path, **gaussian):
         raise DomainError(f"cannot report {count} modes from an n={n} grid")
     state = _gaussian_pipeline(params, n, span)
     spectrum = decompose(state)
+    if count > spectrum.rank:
+        raise DomainError(f"cannot report {count} modes: the n={n} decomposition "
+                          f"kept {spectrum.rank}")
     grid = state.grid
     rows = []
     for axis, x, modes, dx in (

@@ -23,6 +23,10 @@ from .information import coincidence_probability
 from .schmidt import _schmidt_number
 from .util import validate_weights
 
+# Most symbol pairs (trials * n, two draws each) one experiment may
+# materialize: 100 times a 10^6-trial run at n = 4.
+MAX_SYMBOL_PAIRS = 400_000_000
+
 
 @dataclass(frozen=True)
 class CoincidenceReport:
@@ -69,12 +73,17 @@ def run_coincidence_experiment(weights, n: int, trials: int, seed: int) -> Coinc
 
     Each trial draws an n-string for each source; a hit requires agreement
     at every position.  p_theory is K^(-n) with K from the weights.
-    Identical arguments produce a bit-identical report.
+    Identical arguments produce a bit-identical report.  All draws are
+    held at once, so trials * n is capped at MAX_SYMBOL_PAIRS.
     """
     if n < 1:
         raise DomainError(f"stream length must be >= 1, got {n}")
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
+    pairs = int(trials) * int(n)
+    if pairs > MAX_SYMBOL_PAIRS:
+        raise DomainError(f"trials * n = {pairs} exceeds the budget of "
+                          f"{MAX_SYMBOL_PAIRS} symbol pairs")
     w = validate_weights(weights)
     cum = _cumulative(w)
     K = _schmidt_number(w)

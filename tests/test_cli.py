@@ -123,6 +123,15 @@ class TestTable1:
         assert code == 1
         assert "error" in err.lower()
 
+    def test_weights_beyond_the_kept_rank_print_zero(self, capsys):
+        # A 300-cell grid keeps 64 weights at rho = 0.9; rows past them read 0.
+        code, out, _ = run_cli(capsys, "table1", "--grids", "300", "--count", "70")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [r[0] for r in rows] == [str(k) for k in range(1, 71)] + ["K"]
+        assert float(rows[63][2]) > 0.0
+        assert [float(r[2]) for r in rows[64:70]] == [0.0] * 6
+
     @pytest.mark.parametrize("count", ["0", "-2"])
     def test_nonpositive_count_is_an_input_error(self, capsys, count):
         code, out, err = run_cli(capsys, "table1", "--count", count)
@@ -188,6 +197,14 @@ class TestModes:
         code, _, err = run_cli(capsys, "modes", "--n", "10", "--count", "20")
         assert code == 1
         assert "error" in err.lower()
+
+    def test_requesting_more_modes_than_the_kept_rank_fails(self, capsys, tmp_path):
+        target = tmp_path / "modes.csv"
+        code, out, err = run_cli(capsys, "modes", "--n", "400", "--count", "160",
+                                 "--output", str(target))
+        assert (code, out) == (1, "")
+        assert "cannot report 160 modes: the n=400 decomposition kept 64" in err
+        assert not target.exists()
 
     @pytest.mark.parametrize("count", ["0", "-1"])
     def test_nonpositive_count_is_an_input_error(self, capsys, count):
@@ -359,6 +376,12 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", "--weights-file", str(path))
         assert code == 1
         assert "line 2" in err
+
+    def test_draw_budget_is_an_input_error(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--rho", "0.9", "--n", "4",
+                                 "--trials", "100000001")
+        assert (code, out) == (1, "")
+        assert "trials * n = 400000004 exceeds the budget" in err
 
     def test_source_options_are_mutually_exclusive(self, capsys, tmp_path):
         path = tmp_path / "weights.txt"

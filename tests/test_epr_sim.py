@@ -14,6 +14,8 @@ from cvschmidt import (
     schmidt_number_from_rho,
     truncated_weights,
 )
+from cvschmidt import epr_sim
+from cvschmidt.epr_sim import MAX_SYMBOL_PAIRS
 
 # Upper 0.001 quantile of chi-square with one degree of freedom, used for
 # the product-structure consistency check.
@@ -111,6 +113,27 @@ class TestCoincidenceExperiment:
         var_triple = triple.p_hat * (1.0 - triple.p_hat) / triple.trials
         statistic = (triple.p_hat - predicted) ** 2 / (var_triple + var_predicted)
         assert statistic <= CHI2_CRITICAL
+
+    @pytest.mark.parametrize("n, trials", [(1, MAX_SYMBOL_PAIRS + 1),
+                                           (MAX_SYMBOL_PAIRS + 1, 1)])
+    def test_draw_budget_rejected_before_drawing(self, monkeypatch, n, trials):
+        def no_draws(*args):
+            raise AssertionError("drew before checking the budget")
+
+        monkeypatch.setattr(epr_sim, "_draw", no_draws)
+        with pytest.raises(DomainError, match="exceeds the budget"):
+            run_coincidence_experiment([0.5, 0.5], n, trials, seed=0)
+
+    def test_draw_budget_admits_its_limit(self, monkeypatch):
+        class Drawing(Exception):
+            pass
+
+        def stop(*args):
+            raise Drawing
+
+        monkeypatch.setattr(epr_sim, "_draw", stop)
+        with pytest.raises(Drawing):
+            run_coincidence_experiment([0.5, 0.5], 4, MAX_SYMBOL_PAIRS // 4, seed=0)
 
     def test_invalid_arguments_rejected(self):
         with pytest.raises(DomainError):

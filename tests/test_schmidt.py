@@ -145,14 +145,92 @@ class TestDecompose:
         with pytest.raises(DomainError):
             decompose(state)
 
-    def test_svd_failure_is_reported_as_numerical_error(self, monkeypatch):
-        def failing_svd(*args, **kwargs):
-            raise np.linalg.LinAlgError("SVD did not converge")
+    def test_svd_failure_is_reported_as_numerical_error(self, monkeypatch, reference_params):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
 
-        monkeypatch.setattr(np.linalg, "svd", failing_svd)
-        state = unit_square_state(np.full((2, 2), 0.5))
-        with pytest.raises(NumericalError):
-            decompose(state)
+        noise = np.random.default_rng(5).standard_normal((300, 300))
+        cases = [
+            # Dense SVD of a small grid.
+            (unit_square_state(np.full((2, 2), 0.5)), "svd"),
+            # Sketch QR, and the small SVD after the sketch.
+            (gaussian_state(reference_params, 300), "qr"),
+            (gaussian_state(reference_params, 300), "svd"),
+            # Dense SVD after the sketch gave up.
+            (unit_square_state(noise / np.linalg.norm(noise)), "svd"),
+        ]
+        for state, name in cases:
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, name, failing)
+                with pytest.raises(NumericalError):
+                    decompose(state)
+
+
+CERTIFIED_CASES = [(n, rho) for n in (300, 1000) for rho in (0.9, 0.998, 0.9995)]
+# Cases whose tail decays fast enough for the randomized factorization;
+# the others need more than min(n1, n2) / 2 columns and take the dense SVD.
+SKETCHED = {(300, 0.9), (1000, 0.9), (1000, 0.998)}
+
+
+@pytest.fixture(scope="module", params=CERTIFIED_CASES, ids=lambda c: f"n{c[0]}-rho{c[1]}")
+def certified(request):
+    n, rho = request.param
+    params = GaussianParams(m1=1.0, m2=-1.0, sigma1=2.0, sigma2=1.0, rho=rho)
+    state = gaussian_state(params, n, span=10.0)
+    dense = np.linalg.svd(state.amplitudes, compute_uv=False) ** 2
+    return request.param, state, decompose(state), dense
+
+
+class TestCertificate:
+    def test_path_and_discarded_weight(self, certified):
+        case, _, spectrum, _ = certified
+        n = case[0]
+        if case in SKETCHED:
+            assert spectrum.rank < n
+            assert 0.0 <= spectrum.discarded_weight <= 1e-14
+        else:
+            assert spectrum.rank == n
+            assert spectrum.discarded_weight == 0.0
+
+    def test_kept_weights_match_dense_svd(self, certified):
+        _, _, spectrum, dense = certified
+        gap = np.abs(spectrum.weights - dense[:spectrum.rank])
+        assert float(np.max(gap)) <= spectrum.discarded_weight + 1e-14
+
+    def test_modes_are_orthonormal(self, certified):
+        _, _, spectrum, _ = certified
+        eye = np.eye(spectrum.rank)
+        for modes in (spectrum.modes1, spectrum.modes2):
+            assert float(np.max(np.abs(modes.T @ modes - eye))) <= 1e-10
+
+    def test_reconstruction_residual_is_the_discarded_weight(self, certified):
+        _, state, spectrum, _ = certified
+        rebuilt = reconstruct(spectrum, rank=spectrum.rank)
+        residual = float(np.sum((rebuilt.amplitudes - state.amplitudes) ** 2))
+        assert abs(residual - spectrum.discarded_weight) <= 1e-14
+
+    def test_repeated_calls_are_bit_identical(self, certified):
+        _, state, spectrum, _ = certified
+        again = decompose(state)
+        assert again.discarded_weight == spectrum.discarded_weight
+        for a, b in ((again.weights, spectrum.weights), (again.modes1, spectrum.modes1),
+                     (again.modes2, spectrum.modes2)):
+            assert a.tobytes() == b.tobytes()
+
+    def test_full_rank_state_falls_back_after_one_block(self, monkeypatch):
+        noise = np.random.default_rng(17).standard_normal((300, 300))
+        blocks = []
+        qr = np.linalg.qr
+
+        def counting_qr(a, *args, **kwargs):
+            blocks.append(a.shape)
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        spectrum = decompose(unit_square_state(noise / np.linalg.norm(noise)))
+        assert spectrum.rank == 300
+        assert spectrum.discarded_weight == 0.0
+        assert len(blocks) == 1
 
 
 class TestSchmidtNumber:
