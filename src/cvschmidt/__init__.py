@@ -43,13 +43,7 @@ from .information import (
     schmidt_information,
 )
 from .schmidt import SchmidtSpectrum, decompose, entanglement_entropy, reconstruct, schmidt_number
-from .thermo import (
-    ThermoPoint,
-    K_from_beta,
-    beta_from_K,
-    oscillator_entropy,
-    rho_squared_from_beta,
-)
+from .thermo import K_from_beta, beta_from_K, oscillator_entropy, rho_squared_from_beta
 
 __version__ = "0.1.0"
 
@@ -66,7 +60,6 @@ __all__ = [
     "NumericalError",
     "SchmidtSpectrum",
     "StateFileError",
-    "ThermoPoint",
     "analytic_mode",
     "analytic_mode_pair",
     "analytic_weights",

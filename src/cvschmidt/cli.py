@@ -12,6 +12,7 @@ values.  Exit codes: 0 success, 1 invalid input, 2 numerical failure.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import sys
@@ -23,10 +24,13 @@ from . import gaussian_model as gm
 from .discretize import build_grid, read_state_file, sample_state, shannon_mi_numeric
 from .epr_sim import run_coincidence_experiment
 from .errors import DomainError, NumericalError, StateFileError
-from .information import info_report
+from .information import InfoReport, info_report
 from .schmidt import decompose, entanglement_entropy, schmidt_number
-from .thermo import ThermoPoint
+from .thermo import K_from_beta, oscillator_entropy, rho_squared_from_beta
 from .util import format_float
+
+# Most rows one `thermo` sweep may print: 500 times the default sweep.
+MAX_SWEEP_POINTS = 100_000
 
 
 def _cell(value):
@@ -209,18 +213,7 @@ def decompose_command(state_file, n_symbols, count, log_base, output_format, out
     report = info_report(K, n_symbols)
     shown = weights if count is None else weights[:count]
     rows = [[k, float(w)] for k, w in enumerate(shown)]
-    rows.extend(
-        [
-            ["K", K],
-            ["S", entropy],
-            ["n_symbols", report.n_symbols],
-            ["I_bits", report.I_bits],
-            ["I_nats", report.I_nats],
-            ["W", report.W],
-            ["w_log_space", int(report.w_log_space)],
-            ["p_coincidence", report.p_coincidence],
-        ]
-    )
+    rows += [["K", K], ["S", entropy]] + _report_rows(report)
     _write(_render(["k", "lambda_k"], rows, output_format), output_path)
 
 
@@ -263,12 +256,16 @@ def thermo_command(beta_min, beta_max, points, log_base, output_format, output_p
         raise DomainError("beta-max must be >= beta-min")
     if points < 1:
         raise DomainError(f"points must be >= 1, got {points}")
+    # The thermo maps' own guard (beta positive and finite, K in range) on
+    # both bounds, before np.geomspace fills the sweep.
+    for bound in (beta_min, beta_max):
+        K_from_beta(bound)
+    if points > MAX_SWEEP_POINTS:
+        raise DomainError(f"points = {points} exceeds the budget of {MAX_SWEEP_POINTS}")
     rows = []
-    for beta in np.geomspace(beta_min, beta_max, points):
-        point = ThermoPoint(float(beta))
-        rows.append(
-            [point.beta, point.schmidt_number(), point.rho_squared(), point.entropy(log_base)]
-        )
+    for beta in np.geomspace(beta_min, beta_max, points).tolist():
+        rows.append([beta, K_from_beta(beta), rho_squared_from_beta(beta),
+                     oscillator_entropy(beta, log_base)])
     columns = ["beta", "K", "rho_squared", "entropy"]
     _write(_render(columns, rows, output_format), output_path)
 
@@ -295,16 +292,7 @@ def simulate_command(rho, weights_file, n_symbols, trials, seed, output_path):
     else:
         weights = _renormalized(_read_weights_file(weights_file))
     report = run_coincidence_experiment(weights, n_symbols, trials, seed)
-    payload = {
-        "n_symbols": report.n_symbols,
-        "trials": report.trials,
-        "hits": report.hits,
-        "p_hat": report.p_hat,
-        "p_theory": report.p_theory,
-        "std_err": report.std_err,
-        "seed": report.seed,
-    }
-    _write(json.dumps(payload, indent=2) + "\n", output_path)
+    _write(json.dumps(dataclasses.asdict(report), indent=2) + "\n", output_path)
 
 
 @cli.command("info")
@@ -321,8 +309,13 @@ def info_command(K, rho, n_symbols, output_format, output_path):
     if K is None:
         K = gm.schmidt_number_from_rho(rho)
     report = info_report(K, n_symbols)
-    rows = [
-        ["K", report.K],
+    rows = [["K", report.K]] + _report_rows(report)
+    _write(_render(["field", "value"], rows, output_format), output_path)
+
+
+def _report_rows(report: InfoReport) -> list:
+    """The information-report rows shared by `decompose` and `info`."""
+    return [
         ["n_symbols", report.n_symbols],
         ["I_bits", report.I_bits],
         ["I_nats", report.I_nats],
@@ -330,7 +323,6 @@ def info_command(K, rho, n_symbols, output_format, output_path):
         ["w_log_space", int(report.w_log_space)],
         ["p_coincidence", report.p_coincidence],
     ]
-    _write(_render(["field", "value"], rows, output_format), output_path)
 
 
 def _read_weights_file(path) -> np.ndarray:

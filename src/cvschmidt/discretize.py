@@ -32,6 +32,10 @@ from .util import format_float, log_divisor
 _TOTAL_TOL = 1e-12
 _NORM_TOL = 1e-12
 
+# Most cells a grid may have (n = 4096 per axis): a dense state of this size
+# holds 128 MB of float64 before any factorization workspace.
+MAX_GRID_CELLS = 2**24
+
 # State-file header fields: accepted JSON types and the stored type.
 _HEADER_TYPES = {
     "n1": (int, int),
@@ -72,6 +76,9 @@ class GridSpec:
         if not 0.0 < cell_area < math.inf:
             raise DomainError(f"grid cell area dx1 * dx2 = {cell_area!r} is not a "
                               "positive finite number")
+        if self.n1 * self.n2 > MAX_GRID_CELLS:
+            raise DomainError(f"grid has n1 * n2 = {self.n1 * self.n2} cells, above the "
+                              f"budget of {MAX_GRID_CELLS}")
 
     @property
     def dx1(self) -> float:
@@ -102,10 +109,8 @@ class DiscretizedState:
     ----------
     grid : GridSpec
     amplitudes : ndarray, shape (n1, n2)
-        Midpoint samples scaled by sqrt(cell area); unit Frobenius norm
-        when `norm_applied` is true.
-    norm_applied : bool
-        False for raw synthesis output (e.g. truncated reconstructions).
+        Midpoint samples scaled by sqrt(cell area), with unit Frobenius norm
+        (checked on construction).
     raw_norm : float or None
         Frobenius norm before the exact rescale; close to 1 when the grid
         box captures nearly all probability mass.
@@ -113,7 +118,6 @@ class DiscretizedState:
 
     grid: GridSpec
     amplitudes: np.ndarray
-    norm_applied: bool = True
     raw_norm: float | None = None
 
     def __post_init__(self):
@@ -126,10 +130,9 @@ class DiscretizedState:
             )
         if not np.all(np.isfinite(amp)):
             raise DomainError("amplitudes must be finite")
-        if self.norm_applied:
-            total = float(np.sum(amp * amp))
-            if abs(total - 1.0) > _NORM_TOL:
-                raise DomainError(f"normalized state has squared norm {total!r}, not 1")
+        total = float(np.sum(amp * amp))
+        if abs(total - 1.0) > _NORM_TOL:
+            raise DomainError(f"normalized state has squared norm {total!r}, not 1")
 
     def probabilities(self) -> np.ndarray:
         """Joint probability matrix amplitudes**2."""
@@ -230,18 +233,21 @@ def shannon_mi_numeric(p_joint, log_base=math.e) -> float:
     eps * log2(N) * sum|term| over N cells (~4e-15 on a 1000 x 1000
     Gaussian grid at rho = 0.9) and which is deterministic for a fixed numpy
     build.  Tiny negative float residue on product joints is clamped to 0.
+    A joint whose ratio p / (p1 * p2) exceeds the float range (e.g. a cell
+    below ~5.6e-309 alone in its row and column) raises DomainError.
     """
     divisor = log_divisor(log_base)
     p = _validate_joint(p_joint)
     p1, p2 = p.sum(axis=1), p.sum(axis=0)
     mask = p > 0.0
-    denom = p1[:, None] * p2[None, :]
-    if np.any(denom[mask] == 0.0):
-        raise DomainError("joint has positive mass where a marginal product vanishes")
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # p1 * p2 can underflow where (p / p1) / p2 does not, so only the ratio
+    # is formed; a ratio that overflows makes the total non-finite.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = (p / p1[:, None]) / p2[None, :]
     terms = p[mask] * np.log(ratio[mask])
     total = float(np.sum(terms))
+    if not math.isfinite(total):
+        raise DomainError(f"mutual information evaluated to {total}, outside the float range")
     if total < -1e-9:
         raise DomainError(f"mutual information evaluated to {total}, below any float residue")
     return max(total, 0.0) / divisor

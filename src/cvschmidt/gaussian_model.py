@@ -26,9 +26,12 @@ import numpy as np
 from .errors import DomainError
 from .util import log_divisor
 
-# Mode sums are cut off below double precision relevance.
-WEIGHT_FLOOR = 1e-15
-MAX_MODES = 512
+# Mode sums stop once sqrt(lambda_k) falls below this floor or after this
+# many terms; sampling spectra stop once the geometric tail is below
+# _TAIL_MASS.
+_SQRT_WEIGHT_FLOOR = 1e-12
+_MAX_MODES = 512
+_TAIL_MASS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -135,8 +138,8 @@ def analytic_weights(K: float, count: int) -> list[float]:
     return [spec.lambda0 * spec.q**k for k in range(count)]
 
 
-def truncated_weights(K: float, tail_mass: float = 1e-12) -> list[float]:
-    """Geometric weights truncated once the remaining tail is below `tail_mass`.
+def truncated_weights(K: float) -> list[float]:
+    """Geometric weights truncated once the remaining tail is below _TAIL_MASS.
 
     The residual mass is folded into the last entry so the result sums to 1
     within floating-point accuracy; the bias is below statistical resolution
@@ -145,9 +148,7 @@ def truncated_weights(K: float, tail_mass: float = 1e-12) -> list[float]:
     spec = GeometricSpectrum.from_K(K)
     if spec.q == 0.0:
         return [1.0]
-    if not 0.0 < tail_mass < 1.0:
-        raise DomainError(f"tail_mass must be in (0, 1), got {tail_mass}")
-    count = max(1, math.ceil(math.log(tail_mass) / math.log(spec.q)))
+    count = max(1, math.ceil(math.log(_TAIL_MASS) / math.log(spec.q)))
     weights = analytic_weights(K, count)
     weights[-1] += 1.0 - math.fsum(weights)
     return weights
@@ -236,19 +237,13 @@ def analytic_modes(params: GaussianParams, axis: int, x):
         yield -mode if flip_odd and k % 2 == 1 else mode
 
 
-def synthesize_wavefunction(
-    params: GaussianParams,
-    x1,
-    x2,
-    sqrt_weight_floor: float = 1e-12,
-    max_modes: int = MAX_MODES,
-):
+def synthesize_wavefunction(params: GaussianParams, x1, x2):
     """Truncated Schmidt synthesis sum_k sqrt(lambda_k) psi_k(x1) psi_k(x2).
 
-    Terms are added until sqrt(lambda_k) drops below `sqrt_weight_floor` or
-    `max_modes` terms have been used.  Converges to wavefunction(x1, x2); the
-    truncation error is bounded by the remaining sqrt-weight tail times the
-    mode amplitude bound.
+    Terms are added until sqrt(lambda_k) drops below _SQRT_WEIGHT_FLOOR or
+    _MAX_MODES terms have been used.  Converges to wavefunction(x1, x2); the truncation
+    error is bounded by the remaining sqrt-weight tail times the mode
+    amplitude bound.
     """
     K = schmidt_number_from_rho(params.rho)
     spec = GeometricSpectrum.from_K(K)
@@ -262,8 +257,8 @@ def synthesize_wavefunction(
 
     total = np.zeros(np.broadcast(u1, u2).shape)
     modes = zip(hermite_functions(u1), hermite_functions(u2))
-    for _, (h1, h2) in zip(range(max_modes), modes):
-        if sqrt_lam < sqrt_weight_floor:
+    for _, (h1, h2) in zip(range(_MAX_MODES), modes):
+        if sqrt_lam < _SQRT_WEIGHT_FLOOR:
             break
         total = total + sqrt_lam * (pref1 * h1) * (pref2 * h2)
         sqrt_lam *= sqrt_q

@@ -89,14 +89,12 @@ class SchmidtSpectrum:
 
 
 def decompose(state: DiscretizedState) -> SchmidtSpectrum:
-    """Schmidt decomposition of a normalized discretized state.
+    """Schmidt decomposition of a discretized state.
 
     Returns squared singular values as weights and sign-fixed singular
     vector columns as modes.  The weights plus `discarded_weight` sum to 1
     within 1e-12; see the module docstring for when weights are discarded.
     """
-    if not state.norm_applied:
-        raise DomainError("state must be normalized before decomposition")
     try:
         u, s, vt, discarded = _factor(state.amplitudes)
     except np.linalg.LinAlgError as exc:
@@ -209,19 +207,14 @@ def entanglement_entropy(weights, log_base=math.e) -> float:
     return max(entropy, 0.0) / divisor
 
 
-def reconstruct(spectrum: SchmidtSpectrum, rank: int) -> DiscretizedState:
-    """Rank-truncated synthesis sum_{k<rank} sqrt(lambda_k) u_k x v_k.
+def reconstruct(spectrum: SchmidtSpectrum, rank: int) -> np.ndarray:
+    """Rank-truncated synthesis sum_{k<rank} sqrt(lambda_k) u_k x v_k as a matrix.
 
     The result is not renormalized: its Frobenius distance to the original
-    matrix is the truncated tail, squared residual = sum_{k>=rank} lambda_k.
+    amplitude matrix is the truncated tail, squared residual =
+    sum_{k>=rank} lambda_k + discarded_weight.
     """
     if not 1 <= rank <= spectrum.rank:
         raise DomainError(f"rank must be in [1, {spectrum.rank}], got {rank}")
     scale = np.sqrt(spectrum.weights[:rank])
-    matrix = (spectrum.modes1[:, :rank] * scale) @ spectrum.modes2[:, :rank].T
-    return DiscretizedState(
-        grid=spectrum.grid,
-        amplitudes=matrix,
-        norm_applied=False,
-        raw_norm=float(np.linalg.norm(matrix)),
-    )
+    return (spectrum.modes1[:, :rank] * scale) @ spectrum.modes2[:, :rank].T

@@ -14,57 +14,47 @@ naive forms lose precision for beta below ~1e-8 and overflow above ~700.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
 from .util import log_divisor
 
 
-@dataclass(frozen=True)
-class ThermoPoint:
-    """One point on the temperature axis, beta = quantum/temperature > 0."""
-
-    beta: float
-
-    def __post_init__(self):
-        if not self.beta > 0.0:
-            raise DomainError(f"beta must be positive, got {self.beta}")
-
-    def schmidt_number(self) -> float:
-        return K_from_beta(self.beta)
-
-    def rho_squared(self) -> float:
-        return rho_squared_from_beta(self.beta)
-
-    def entropy(self, log_base=math.e) -> float:
-        return oscillator_entropy(self.beta, log_base)
+def _require_beta(beta: float) -> None:
+    if not 0.0 < beta < math.inf:
+        raise DomainError(f"beta must be positive and finite, got {beta}")
 
 
 def beta_from_K(K: float) -> float:
     """Inverse temperature ratio beta = log((K+1)/(K-1)), so exp(-beta) = q.
 
-    Defined for K > 1 only; beta diverges as K -> 1 (no entanglement).
+    Defined for finite K > 1 only; beta diverges as K -> 1 (no
+    entanglement) and would be 0, outside every map's domain, at K = inf.
     """
-    if not K > 1.0:
-        raise DomainError(f"beta is finite only for K > 1, got {K}")
+    if not 1.0 < K < math.inf:
+        raise DomainError(f"beta is positive and finite only for 1 < K < inf, got {K}")
     return math.log1p(2.0 / (K - 1.0))
 
 
 def K_from_beta(beta: float) -> float:
-    """Schmidt number K = coth(beta/2); large for hot, -> 1 for cold."""
-    if not beta > 0.0:
-        raise DomainError(f"beta must be positive, got {beta}")
-    return 1.0 / math.tanh(0.5 * beta)
+    """Schmidt number K = coth(beta/2); large for hot, -> 1 for cold.
+
+    K ~ 2/beta leaves the float range for beta below ~1.1e-308, which is
+    rejected.
+    """
+    _require_beta(beta)
+    t = math.tanh(0.5 * beta)
+    if t == 0.0 or (K := 1.0 / t) == math.inf:
+        raise DomainError(f"K = coth(beta/2) overflows for beta = {beta}")
+    return K
 
 
 def rho_squared_from_beta(beta: float) -> float:
     """Squared correlation rho^2 = 1/cosh^2(beta/2).
 
     Evaluated as 4t/(1+t)^2 with t = exp(-beta), which stays in range for
-    every positive beta.
+    every positive finite beta.
     """
-    if not beta > 0.0:
-        raise DomainError(f"beta must be positive, got {beta}")
+    _require_beta(beta)
     t = math.exp(-beta)
     return 4.0 * t / ((1.0 + t) * (1.0 + t))
 
@@ -76,8 +66,7 @@ def oscillator_entropy(beta: float, log_base=math.e) -> float:
     accurate for small beta and free of overflow for large beta.  Equals the
     geometric-spectrum entanglement entropy at K = coth(beta/2).
     """
-    if not beta > 0.0:
-        raise DomainError(f"beta must be positive, got {beta}")
+    _require_beta(beta)
     divisor = log_divisor(log_base)
     u = -math.expm1(-beta)
     entropy = -math.log(u) + beta * (1.0 - u) / u

@@ -7,8 +7,10 @@ identically.
 
 import json
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -342,6 +344,22 @@ class TestThermo:
         assert code == 1
         assert "error" in err.lower()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--beta-min", "0"], "beta must be positive and finite, got 0.0"),
+        (["--beta-min", "-1"], "beta must be positive and finite, got -1.0"),
+        (["--beta-min", "nan"], "beta must be positive and finite, got nan"),
+        (["--beta-max", "inf", "--points", "3"], "beta must be positive and finite, got inf"),
+        (["--beta-min", "1e-310", "--beta-max", "1", "--points", "3"],
+         "K = coth(beta/2) overflows for beta = 1e-310"),
+        (["--points", str(cli_module.MAX_SWEEP_POINTS + 1)],
+         "points = 100001 exceeds the budget of 100000"),
+    ])
+    def test_sweep_outside_the_float_range_or_budget_fails(self, capsys, argv, message):
+        # The suite turns any leaked warning into a failure, and the one
+        # stderr line shows no warning text reached the user either.
+        code, out, err = run_cli(capsys, "thermo", *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
 
 class TestSimulate:
     def test_geometric_weights_report(self, capsys):
@@ -422,6 +440,49 @@ class TestInfo:
     def test_sources_are_mutually_exclusive(self, capsys):
         assert run_cli(capsys, "info")[0] == 1
         assert run_cli(capsys, "info", "--K", "2", "--rho", "0.5")[0] == 1
+
+
+class TestGridBudget:
+    @pytest.mark.parametrize("argv", [
+        ["table1", "--grids", "30,4097"],
+        ["modes", "--n", "4097"],
+        ["mutual-info", "--n", "4097"],
+    ])
+    def test_grid_above_the_cell_budget_fails_before_allocating(self, capsys, tmp_path,
+                                                                argv):
+        output = tmp_path / "out.csv"
+        code, out, err = run_cli(capsys, *argv, "--output", str(output))
+        assert (code, out) == (1, "")
+        assert err == ("error: grid has n1 * n2 = 16785409 cells, above the budget "
+                       "of 16777216\n")
+        assert not output.exists()
+
+    def test_state_file_header_above_the_cell_budget_fails(self, capsys, tmp_path):
+        path = tmp_path / "state.csv"
+        path.write_text('{"n1": 4097, "n2": 4096, "lo1": 0.0, "hi1": 1.0, '
+                        '"lo2": 0.0, "hi2": 1.0}\n0.5,0.5\n')
+        code, out, err = run_cli(capsys, "decompose", str(path))
+        assert (code, out) == (1, "")
+        assert "budget of 16777216 (line 1)" in err
+
+
+class TestReadmeExamples:
+    def test_every_shown_line_matches(self, capsys):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        blocks = re.findall(r"```text\n\$ cvschmidt (.*?)\n(.*?)```", readme, re.DOTALL)
+        transcripts = [(command.split(), shown.splitlines()) for command, shown in blocks]
+        assert [argv[0] for argv, _ in transcripts] == ["table1", "info", "simulate"]
+        for argv, shown in transcripts:
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, "")
+            printed = out.splitlines()
+            if "..." in shown:
+                cut = shown.index("...")
+                head, tail = shown[:cut], shown[cut + 1:]
+                assert printed[:len(head)] == head, argv
+                assert printed[len(printed) - len(tail):] == tail, argv
+            else:
+                assert printed == shown, argv
 
 
 class TestDispatcher:

@@ -202,7 +202,7 @@ class TestGeometricWeights:
     def test_truncated_weights_respects_tail_bound(self):
         K = schmidt_number_from_rho(0.9)
         spectrum = GeometricSpectrum.from_K(K)
-        count = len(truncated_weights(K, tail_mass=1e-12))
+        count = len(truncated_weights(K))
         assert spectrum.tail_mass(count) < 1e-12
         assert spectrum.tail_mass(count - 1) >= 1e-12
 

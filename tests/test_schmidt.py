@@ -138,13 +138,6 @@ class TestDecompose:
             np.testing.assert_allclose(spectrum_t.modes2[:, k],
                                        sign * spectrum.modes1[:, k], atol=1e-10)
 
-    def test_requires_normalized_state(self):
-        grid = GridSpec(n1=2, n2=2, lo1=0.0, hi1=1.0, lo2=0.0, hi2=1.0)
-        state = DiscretizedState(grid=grid, amplitudes=np.full((2, 2), 0.9),
-                                 norm_applied=False, raw_norm=1.8)
-        with pytest.raises(DomainError):
-            decompose(state)
-
     def test_svd_failure_is_reported_as_numerical_error(self, monkeypatch, reference_params):
         def failing(*args, **kwargs):
             raise np.linalg.LinAlgError("did not converge")
@@ -206,7 +199,7 @@ class TestCertificate:
     def test_reconstruction_residual_is_the_discarded_weight(self, certified):
         _, state, spectrum, _ = certified
         rebuilt = reconstruct(spectrum, rank=spectrum.rank)
-        residual = float(np.sum((rebuilt.amplitudes - state.amplitudes) ** 2))
+        residual = float(np.sum((rebuilt - state.amplitudes) ** 2))
         assert abs(residual - spectrum.discarded_weight) <= 1e-14
 
     def test_repeated_calls_are_bit_identical(self, certified):
@@ -288,36 +281,36 @@ class TestReconstruct:
         state = gaussian_state(reference_params, 48)
         spectrum = decompose(state)
         rebuilt = reconstruct(spectrum, rank=spectrum.rank)
-        assert float(np.max(np.abs(rebuilt.amplitudes - state.amplitudes))) <= 1e-10
+        assert float(np.max(np.abs(rebuilt - state.amplitudes))) <= 1e-10
 
     def test_rank_one_input_needs_one_term(self):
         matrix = np.outer([1.0, 2.0], [2.0, 1.0, 2.0])
         state = unit_square_state(matrix / np.linalg.norm(matrix))
         rebuilt = reconstruct(decompose(state), rank=1)
-        assert float(np.max(np.abs(rebuilt.amplitudes - state.amplitudes))) <= 1e-14
+        assert float(np.max(np.abs(rebuilt - state.amplitudes))) <= 1e-14
 
     def test_truncation_error_matches_discarded_weight(self, reference_params):
         state = gaussian_state(reference_params, 64)
         spectrum = decompose(state)
         for rank in (1, 2, 5, 10):
             rebuilt = reconstruct(spectrum, rank=rank)
-            residual = float(np.linalg.norm(rebuilt.amplitudes - state.amplitudes))
+            residual = float(np.linalg.norm(rebuilt - state.amplitudes))
             discarded = math.fsum(spectrum.weights[rank:].tolist())
             assert abs(residual ** 2 - discarded) <= 1e-10
 
     def test_residual_decreases_with_rank(self, reference_params):
         state = gaussian_state(reference_params, 40)
         spectrum = decompose(state)
-        residuals = [float(np.linalg.norm(reconstruct(spectrum, rank=r).amplitudes
+        residuals = [float(np.linalg.norm(reconstruct(spectrum, rank=r)
                                           - state.amplitudes))
                      for r in range(1, 11)]
         assert all(b < a for a, b in zip(residuals, residuals[1:]))
 
-    def test_partial_reconstruction_is_not_marked_normalized(self, reference_params):
+    def test_partial_reconstruction_is_an_unnormalized_matrix(self, reference_params):
         spectrum = decompose(gaussian_state(reference_params, 16))
         rebuilt = reconstruct(spectrum, rank=1)
-        assert not rebuilt.norm_applied
-        assert rebuilt.raw_norm == pytest.approx(
+        assert isinstance(rebuilt, np.ndarray) and rebuilt.shape == (16, 16)
+        assert float(np.linalg.norm(rebuilt)) == pytest.approx(
             math.sqrt(spectrum.weights[0]), rel=1e-12)
 
     def test_invalid_rank_rejected(self, reference_params):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from cvschmidt import (
     DomainError,
     K_from_beta,
-    ThermoPoint,
     analytic_weights,
     beta_from_K,
     closed_form_entropy,
@@ -37,7 +36,7 @@ class TestBetaFromK:
         values = [beta_from_K(K) for K in np.linspace(1.001, 100.0, 60)]
         assert all(b < a for a, b in zip(values, values[1:]))
 
-    @pytest.mark.parametrize("K", [1.0, 0.5, math.nan])
+    @pytest.mark.parametrize("K", [1.0, 0.5, math.nan, math.inf])
     def test_requires_schmidt_number_above_one(self, K):
         with pytest.raises(DomainError):
             beta_from_K(K)
@@ -51,6 +50,7 @@ class TestKFromBeta:
         assert K_from_beta(100.0) >= 1.0
         assert K_from_beta(100.0) == pytest.approx(1.0, abs=1e-15)
         assert K_from_beta(1e-12) > 1e11
+        assert K_from_beta(1e-300) == pytest.approx(2e300, rel=1e-15)
 
     def test_strictly_decreasing(self):
         values = [K_from_beta(b) for b in np.geomspace(1e-3, 30.0, 60)]
@@ -117,14 +117,17 @@ class TestOscillatorEntropy:
             oscillator_entropy(0.0)
 
 
-class TestThermoPoint:
-    def test_bundles_the_three_maps(self):
-        point = ThermoPoint(beta=math.log(3.0))
-        assert point.schmidt_number() == K_from_beta(math.log(3.0))
-        assert point.rho_squared() == rho_squared_from_beta(math.log(3.0))
-        assert point.entropy() == oscillator_entropy(math.log(3.0))
-        assert point.entropy(2) == oscillator_entropy(math.log(3.0), 2)
+class TestBetaContract:
+    @pytest.mark.parametrize("beta", [0.0, -0.5, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("beta_map", [K_from_beta, rho_squared_from_beta,
+                                          oscillator_entropy])
+    def test_every_map_requires_positive_finite_beta(self, beta_map, beta):
+        with pytest.raises(DomainError, match="positive and finite"):
+            beta_map(beta)
 
-    def test_requires_positive_beta(self):
-        with pytest.raises(DomainError):
-            ThermoPoint(beta=-0.5)
+    @pytest.mark.parametrize("beta", [1e-308, 1e-310, 5e-324])
+    def test_schmidt_number_beyond_the_float_range_rejected(self, beta):
+        with pytest.raises(DomainError, match="overflows"):
+            K_from_beta(beta)
+        assert rho_squared_from_beta(beta) == 1.0
+        assert math.isfinite(oscillator_entropy(beta))
