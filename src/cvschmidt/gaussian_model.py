@@ -28,10 +28,12 @@ from .util import log_divisor
 
 # Mode sums stop once sqrt(lambda_k) falls below this floor or after this
 # many terms; sampling spectra stop once the geometric tail is below
-# _TAIL_MASS.
+# _TAIL_MASS, and may have at most _MAX_TRUNCATED_WEIGHTS entries (a Python
+# list of about 32 MB, reached near K = 7.2e4, i.e. rho = 1 - 9.5e-11).
 _SQRT_WEIGHT_FLOOR = 1e-12
 _MAX_MODES = 512
 _TAIL_MASS = 1e-12
+_MAX_TRUNCATED_WEIGHTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -143,12 +145,18 @@ def truncated_weights(K: float) -> list[float]:
 
     The residual mass is folded into the last entry so the result sums to 1
     within floating-point accuracy; the bias is below statistical resolution
-    for any sampling use.
+    for any sampling use.  A K that needs more than _MAX_TRUNCATED_WEIGHTS
+    entries is rejected with DomainError before anything is allocated.
     """
     spec = GeometricSpectrum.from_K(K)
     if spec.q == 0.0:
         return [1.0]
-    count = max(1, math.ceil(math.log(_TAIL_MASS) / math.log(spec.q)))
+    # q rounds to 1 (no finite count) once K passes ~1e16.
+    count = (max(1, math.ceil(math.log(_TAIL_MASS) / math.log(spec.q)))
+             if spec.q < 1.0 else math.inf)
+    if count > _MAX_TRUNCATED_WEIGHTS:
+        raise DomainError(f"K = {K!r} needs {count} weights to leave a tail below "
+                          f"{_TAIL_MASS!r}, above the budget of {_MAX_TRUNCATED_WEIGHTS}")
     weights = analytic_weights(K, count)
     weights[-1] += 1.0 - math.fsum(weights)
     return weights

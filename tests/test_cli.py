@@ -401,6 +401,13 @@ class TestSimulate:
         assert (code, out) == (1, "")
         assert "trials * n = 400000004 exceeds the budget" in err
 
+    def test_weight_budget_is_an_input_error(self, capsys):
+        # K = 6.7e7 would need 927,143,220 truncated weights.
+        code, out, err = run_cli(capsys, "simulate", "--rho", "0.9999999999999999")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "needs 927143220 weights" in err
+
     def test_source_options_are_mutually_exclusive(self, capsys, tmp_path):
         path = tmp_path / "weights.txt"
         path.write_text("1.0\n")

@@ -25,6 +25,7 @@ from cvschmidt import (
     truncated_weights,
     wavefunction,
 )
+from cvschmidt import gaussian_model as gm
 from cvschmidt.gaussian_model import hermite_functions
 
 REFERENCE_K = 2.29415733870562
@@ -205,6 +206,29 @@ class TestGeometricWeights:
         count = len(truncated_weights(K))
         assert spectrum.tail_mass(count) < 1e-12
         assert spectrum.tail_mass(count - 1) >= 1e-12
+
+    def test_truncated_weights_count_is_checked_before_allocating(self, monkeypatch):
+        def K_for_count(count):
+            # The K whose ceil(log(1e-12) / log(q)) is `count`, from mid-interval.
+            q = math.exp(math.log(1e-12) / (count - 0.5))
+            return (1.0 + q) / (1.0 - q)
+
+        counts = []
+
+        def allocate(K, count):
+            counts.append(count)
+            if count > budget:
+                raise AssertionError("allocated past the budget")
+            return [0.0]
+
+        budget = gm._MAX_TRUNCATED_WEIGHTS
+        monkeypatch.setattr(gm, "analytic_weights", allocate)
+        truncated_weights(K_for_count(budget))
+        assert counts == [budget]
+        for K in (K_for_count(budget + 1), 1e17, math.inf):
+            with pytest.raises(DomainError, match="above the budget of 1000000"):
+                truncated_weights(K)
+        assert counts == [budget]
 
 
 class TestSchmidtModes:

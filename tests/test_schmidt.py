@@ -149,20 +149,27 @@ class TestDecompose:
             # Sketch QR, and the small SVD after the sketch.
             (gaussian_state(reference_params, 300), "qr"),
             (gaussian_state(reference_params, 300), "svd"),
-            # Dense SVD after the sketch gave up.
-            (unit_square_state(noise / np.linalg.norm(noise)), "svd"),
+            # Gram eigenvalues after the sketch gave up.
+            (unit_square_state(noise / np.linalg.norm(noise)), "eigvalsh"),
         ]
         for state, name in cases:
             with monkeypatch.context() as patch:
                 patch.setattr(np.linalg, name, failing)
                 with pytest.raises(NumericalError):
                     decompose(state)
+        # The dense SVD that the Gram route defers to the first mode read.
+        spectrum = decompose(unit_square_state(noise / np.linalg.norm(noise)))
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "svd", failing)
+            with pytest.raises(NumericalError):
+                spectrum.modes1
 
 
 CERTIFIED_CASES = [(n, rho) for n in (300, 1000) for rho in (0.9, 0.998, 0.9995)]
 # Cases whose tail decays fast enough for the randomized factorization;
-# the others need more than min(n1, n2) / 2 columns and take the dense SVD.
-SKETCHED = {(300, 0.9), (1000, 0.9), (1000, 0.998)}
+# the others need more than min(n1, n2) // 4 columns and take the Gram
+# eigenvalues, with the modes deferred to a dense SVD.
+SKETCHED = {(300, 0.9), (1000, 0.9)}
 
 
 @pytest.fixture(scope="module", params=CERTIFIED_CASES, ids=lambda c: f"n{c[0]}-rho{c[1]}")
@@ -175,8 +182,8 @@ def certified(request):
 
 
 class TestCertificate:
-    def test_path_and_discarded_weight(self, certified):
-        case, _, spectrum, _ = certified
+    def test_path_and_discarded_weight(self, certified, monkeypatch):
+        case, state, spectrum, _ = certified
         n = case[0]
         if case in SKETCHED:
             assert spectrum.rank < n
@@ -184,6 +191,9 @@ class TestCertificate:
         else:
             assert spectrum.rank == n
             assert spectrum.discarded_weight == 0.0
+            # The Gram route computes the weights without any SVD.
+            monkeypatch.setattr(np.linalg, "svd", None)
+            assert decompose(state).weights.tobytes() == spectrum.weights.tobytes()
 
     def test_kept_weights_match_dense_svd(self, certified):
         _, _, spectrum, dense = certified
@@ -224,6 +234,82 @@ class TestCertificate:
         assert spectrum.rank == 300
         assert spectrum.discarded_weight == 0.0
         assert len(blocks) == 1
+
+
+class TestDeferredModes:
+    """On the Gram route the weights cost no SVD and the modes cost one, on first read."""
+
+    @pytest.fixture
+    def svd_calls(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        return calls
+
+    @pytest.fixture(scope="class")
+    def state(self):
+        params = GaussianParams(m1=1.0, m2=-1.0, sigma1=2.0, sigma2=1.0, rho=0.9995)
+        return gaussian_state(params, 300, span=10.0)
+
+    def test_modes_cost_one_svd_on_first_read(self, state, svd_calls):
+        spectrum = decompose(state)
+        schmidt_number(spectrum.weights)
+        entanglement_entropy(spectrum.weights)
+        assert len(svd_calls) == 0
+        spectrum.modes1
+        assert len(svd_calls) == 1
+        spectrum.modes2
+        assert len(svd_calls) == 1
+
+    def test_weights_match_the_svd(self, state):
+        spectrum = decompose(state)
+        assert spectrum.rank == 300 and spectrum.discarded_weight == 0.0
+        w = spectrum.weights
+        assert np.all(w >= 0.0) and np.all(np.diff(w) <= 0.0)
+        dense = np.linalg.svd(state.amplitudes, compute_uv=False) ** 2
+        assert float(np.max(np.abs(w - dense))) <= 1e-14
+
+    def test_full_rank_reconstruction(self, state):
+        rebuilt = reconstruct(decompose(state), rank=300)
+        assert float(np.sum((rebuilt - state.amplitudes) ** 2)) <= 1e-14
+
+    def test_reconstruct_pairs_modes_with_their_singular_values(self):
+        # Rank 100 of 300: the Gram route reads the 200 zero weights as
+        # rounding noise, whose square roots (~1e-9) do not belong to the
+        # SVD's modes; the SVD's own singular values rebuild the state.
+        rng = np.random.default_rng(3)
+        u, _ = np.linalg.qr(rng.standard_normal((300, 100)))
+        v, _ = np.linalg.qr(rng.standard_normal((300, 100)))
+        matrix = (u * np.sqrt(np.r_[0.9, np.full(99, 0.1 / 99)])) @ v.T
+        state = unit_square_state(matrix / np.linalg.norm(matrix))
+        spectrum = decompose(state)
+        assert spectrum.rank == 300 and float(np.sum(spectrum.weights[100:])) > 0.0
+        rebuilt = reconstruct(spectrum, rank=300)
+        assert float(np.sum((rebuilt - state.amplitudes) ** 2)) <= 1e-24
+
+    @pytest.mark.parametrize("shape", [(256, 300), (300, 256)])
+    def test_rectangular_states_use_the_smaller_gram(self, shape):
+        noise = np.random.default_rng(23).standard_normal(shape)
+        state = unit_square_state(noise / np.linalg.norm(noise))
+        spectrum = decompose(state)
+        dense = np.linalg.svd(state.amplitudes, compute_uv=False) ** 2
+        assert spectrum.rank == 256 and spectrum.discarded_weight == 0.0
+        assert float(np.max(np.abs(spectrum.weights - dense))) <= 1e-14
+        assert spectrum.modes1.shape == (shape[0], 256)
+        assert spectrum.modes2.shape == (shape[1], 256)
+        rebuilt = reconstruct(spectrum, rank=256)
+        assert float(np.sum((rebuilt - state.amplitudes) ** 2)) <= 1e-14
+
+    def test_repeated_calls_are_bit_identical(self, state):
+        first, again = decompose(state), decompose(state)
+        for a, b in ((first.weights, again.weights), (first.modes1, again.modes1),
+                     (first.modes2, again.modes2)):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestSchmidtNumber:
