@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, StateFileError
 from .gaussian_model import GaussianParams
-from .util import format_float, log_divisor
+from .util import log_divisor
 
 # Validation tolerances for probability inputs.  Grid-sized sums use numpy's
 # pairwise summation, not math.fsum: fsum's cost per item grows with the
@@ -269,25 +269,25 @@ def write_state_file(path, state: DiscretizedState) -> None:
         "hi2": grid.hi2,
     }
     samples = state.amplitudes / math.sqrt(grid.cell_area)
+    # One format string per row: "%.17g" prints what format_float prints.
+    row_format = ",".join(["%.17g"] * grid.n2) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header) + "\n")
         for row in samples:
-            fh.write(",".join(format_float(v) for v in row) + "\n")
+            fh.write(row_format % tuple(row.tolist()))
 
 
-def read_state_file(path) -> DiscretizedState:
-    """Parse a state file and return the normalized state.
+def _logical_lines(fh):
+    """Lines of a text file split as str.splitlines splits the whole text."""
+    for physical in fh:
+        yield from physical.splitlines()
 
-    The body may be unnormalized; normalization is applied on load.  Raises
-    StateFileError with 1-based line/column for malformed content and
-    DomainError for an all-zero body.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].strip():
+
+def _read_header(text: str) -> GridSpec:
+    if not text.strip():
         raise StateFileError("missing JSON header", line=1)
     try:
-        header = json.loads(lines[0])
+        header = json.loads(text)
     except json.JSONDecodeError as exc:
         raise StateFileError(f"invalid JSON header: {exc.msg}", line=1, column=exc.colno) from exc
     except (ValueError, RecursionError) as exc:
@@ -311,39 +311,72 @@ def read_state_file(path) -> DiscretizedState:
         except OverflowError as exc:
             raise StateFileError(f"header field {key} is outside the float range", line=1) from exc
     try:
-        grid = GridSpec(**fields)
+        return GridSpec(**fields)
     except DomainError as exc:
         raise StateFileError(f"invalid header values: {exc}", line=1) from exc
 
-    body_lines = lines[1:]
-    while body_lines and not body_lines[-1].strip():
-        body_lines.pop()
-    if len(body_lines) != grid.n1:
-        raise StateFileError(
-            f"expected {grid.n1} amplitude rows, found {len(body_lines)}",
-            line=len(body_lines) + 2,
-        )
-    rows = []
-    for i, text in enumerate(body_lines):
-        line_no = i + 2
-        fields = text.split(",")
-        if len(fields) != grid.n2:
+
+def _parse_row(text: str, n2: int, line_no: int) -> list[float]:
+    """One CSV row of n2 finite floats; StateFileError names the first bad field."""
+    fields = text.split(",")
+    if len(fields) != n2:
+        raise StateFileError(f"expected {n2} values per row, found {len(fields)}", line=line_no)
+    try:
+        row = list(map(float, fields))
+    except ValueError:
+        pass
+    else:
+        if all(map(math.isfinite, row)):
+            return row
+    # A bad row: the token loop finds the first offending field.
+    row = []
+    for j, token in enumerate(fields):
+        try:
+            value = float(token)
+        except ValueError as exc:
             raise StateFileError(
-                f"expected {grid.n2} values per row, found {len(fields)}", line=line_no
+                f"invalid number {token.strip()!r}", line=line_no, column=j + 1
+            ) from exc
+        if not math.isfinite(value):
+            raise StateFileError(
+                f"non-finite amplitude {token.strip()!r}", line=line_no, column=j + 1
             )
-        row = []
-        for j, token in enumerate(fields):
-            try:
-                value = float(token)
-            except ValueError as exc:
-                raise StateFileError(
-                    f"invalid number {token.strip()!r}", line=line_no, column=j + 1
-                ) from exc
-            if not math.isfinite(value):
-                raise StateFileError(
-                    f"non-finite amplitude {token.strip()!r}", line=line_no, column=j + 1
-                )
-            row.append(value)
-        rows.append(row)
-    samples = np.array(rows, dtype=float)
+        row.append(value)
+    return row
+
+
+def read_state_file(path) -> DiscretizedState:
+    """Parse a state file and return the normalized state.
+
+    The body may be unnormalized; normalization is applied on load.  Raises
+    StateFileError with 1-based line/column for malformed content and
+    DomainError for an all-zero body.  The body is streamed: memory holds
+    the n1 * n2 parsed samples and one line, however long the file is.  A
+    wrong row count is reported before any malformed row.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = _logical_lines(fh)
+        grid = _read_header(next(lines, ""))
+        samples = np.empty((grid.n1, grid.n2))
+        rows = 0  # body lines up to the last non-blank one
+        seen = 0  # body lines read
+        error = None  # first malformed row among rows 1..min(rows, n1)
+        for text in lines:
+            seen += 1
+            if not text.strip():
+                continue
+            if error is None and seen > rows + 1:
+                # A blank line before this one is a row with one empty field.
+                error = StateFileError(f"expected {grid.n2} values per row, found 1",
+                                       line=rows + 2)
+            rows = seen
+            if error is None and rows <= grid.n1:
+                try:
+                    samples[rows - 1] = _parse_row(text, grid.n2, rows + 1)
+                except StateFileError as exc:
+                    error = exc
+    if rows != grid.n1:
+        raise StateFileError(f"expected {grid.n1} amplitude rows, found {rows}", line=rows + 2)
+    if error is not None:
+        raise error
     return _normalized_state(grid, samples, "state file is zero everywhere; cannot normalize")

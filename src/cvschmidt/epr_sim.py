@@ -7,8 +7,12 @@ i.e. K^(-n) in terms of the Schmidt number.  This module estimates that
 probability empirically with a seedable generator so every report is
 bit-reproducible.
 
-Sampling is inverse-CDF on the cumulative weights, which keeps the draw a
-single vectorized searchsorted regardless of spectrum length.
+Sampling is inverse-CDF on the cumulative weights.  The experiment draws
+its trials in fixed blocks and filters them position by position (a few
+positions per pass when K is near 1): one searchsorted places the first
+source's symbol, an interval test on the cumulative weights checks the
+second, and only trials that still match go on to the next position.
+Memory is bounded by the block, not by trials * n.
 """
 
 from __future__ import annotations
@@ -23,9 +27,14 @@ from .information import coincidence_probability
 from .schmidt import _schmidt_number
 from .util import validate_weights
 
-# Most symbol pairs (trials * n, two draws each) one experiment may
-# materialize: 100 times a 10^6-trial run at n = 4.
+# Most symbol pairs (trials * n, two draws each) one experiment may draw:
+# 100 times a 10^6-trial run at n = 4.  Draws are made in blocks, so this
+# bounds the run time, not the memory.
 MAX_SYMBOL_PAIRS = 400_000_000
+
+# Symbol pairs drawn per block: whole trials of n symbols while n fits,
+# otherwise one trial in pieces of this many positions.
+_CHUNK_SYMBOLS = 2**16
 
 
 @dataclass(frozen=True)
@@ -52,8 +61,9 @@ def _cumulative(w: np.ndarray) -> np.ndarray:
     return cum
 
 
-def _draw(rng: np.random.Generator, cum: np.ndarray, shape) -> np.ndarray:
-    return np.searchsorted(cum, rng.random(shape), side="right")
+def _draw(rng: np.random.Generator, shape) -> np.ndarray:
+    """Uniforms on [0, 1): every draw of this module goes through here."""
+    return rng.random(shape)
 
 
 def sample_stream(weights, n: int, seed: int) -> np.ndarray:
@@ -65,7 +75,51 @@ def sample_stream(weights, n: int, seed: int) -> np.ndarray:
         raise DomainError(f"stream length must be >= 1, got {n}")
     cum = _cumulative(validate_weights(weights))
     rng = np.random.default_rng(seed)
-    return _draw(rng, cum, n)
+    return np.searchsorted(cum, _draw(rng, n), side="right")
+
+
+def _count_hits(cum: np.ndarray, K: float, n: int, trials: int, seed: int) -> int:
+    """Trials whose two n-strings agree everywhere, drawn block by block.
+
+    The first source reads default_rng(seed) and the second a PCG64(seed)
+    advanced past the first source's trials * n draws, so both see exactly
+    the stream a one-shot draw of (trials, n) then (trials, n) would: the
+    hit count does not depend on the block size.  A symbol k of the first
+    source matches the second draw u iff cum[k-1] <= u < cum[k], the bucket
+    searchsorted(cum, u, side="right") would put u in.
+    """
+    first = np.random.default_rng(seed)
+    second = np.random.Generator(np.random.PCG64(seed))
+    second.bit_generator.advance(trials * n)
+    lower = np.concatenate(([0.0], cum[:-1]))
+    rows = max(1, _CHUNK_SYMBOLS // n)
+    width = min(n, _CHUNK_SYMBOLS)
+    # Positions tested per pass, chosen so that about half of the live
+    # trials survive a pass: one position whenever K >= 2, more as K nears 1.
+    group = max(1, int(math.log(2.0) / math.log(K))) if K > 1.0 else width
+    hits = 0
+    for start in range(0, trials, rows):
+        count = min(rows, trials - start)
+        alive = np.arange(count)
+        # A block has more than one piece only when it holds one split trial.
+        for offset in range(0, n, width):
+            step = min(width, n - offset)
+            u1 = _draw(first, (count, step))
+            u2 = _draw(second, (count, step))
+            for j in range(0, step, group):
+                k = np.searchsorted(cum, u1[alive, j:j + group], side="right")
+                b = u2[alive, j:j + group]
+                alive = alive[np.all((lower[k] <= b) & (b < cum[k]), axis=1)]
+                if alive.size == 0:
+                    break
+            if alive.size == 0:
+                # Skip the rest of a split trial in both streams.
+                rest = n - offset - step
+                first.bit_generator.advance(rest)
+                second.bit_generator.advance(rest)
+                break
+        hits += int(alive.size)
+    return hits
 
 
 def run_coincidence_experiment(weights, n: int, trials: int, seed: int) -> CoincidenceReport:
@@ -73,8 +127,9 @@ def run_coincidence_experiment(weights, n: int, trials: int, seed: int) -> Coinc
 
     Each trial draws an n-string for each source; a hit requires agreement
     at every position.  p_theory is K^(-n) with K from the weights.
-    Identical arguments produce a bit-identical report.  All draws are
-    held at once, so trials * n is capped at MAX_SYMBOL_PAIRS.
+    Identical arguments produce a bit-identical report.  Draws are made in
+    blocks of about _CHUNK_SYMBOLS symbol pairs, so memory stays bounded;
+    trials * n is capped at MAX_SYMBOL_PAIRS to bound the run time.
     """
     if n < 1:
         raise DomainError(f"stream length must be >= 1, got {n}")
@@ -85,12 +140,8 @@ def run_coincidence_experiment(weights, n: int, trials: int, seed: int) -> Coinc
         raise DomainError(f"trials * n = {pairs} exceeds the budget of "
                           f"{MAX_SYMBOL_PAIRS} symbol pairs")
     w = validate_weights(weights)
-    cum = _cumulative(w)
     K = _schmidt_number(w)
-    rng = np.random.default_rng(seed)
-    first = _draw(rng, cum, (trials, n))
-    second = _draw(rng, cum, (trials, n))
-    hits = int(np.sum(np.all(first == second, axis=1)))
+    hits = _count_hits(_cumulative(w), K, int(n), int(trials), seed)
     p_hat = hits / trials
     return CoincidenceReport(
         n_symbols=int(n),

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from cvschmidt import (
     write_state_file,
 )
 from cvschmidt.discretize import MAX_GRID_CELLS
+from cvschmidt.util import format_float
 from oracles import gauss_legendre_cell_joint
 
 
@@ -505,6 +507,69 @@ class TestStateFiles:
         with pytest.raises(StateFileError) as excinfo:
             read_state_file(path)
         assert excinfo.value.line == 1
+
+    def test_writer_prints_each_value_as_format_float(self, tmp_path):
+        grid = GridSpec(n1=2, n2=4, lo1=0.0, hi1=1.0, lo2=0.0, hi2=1.0)
+        amp = np.array([[-0.0, 5e-324, 1e-310, 0.1], [1 / 3, -2 / 3, 0.0, 1e-5]])
+        state = DiscretizedState(grid=grid, amplitudes=amp / np.linalg.norm(amp))
+        path = tmp_path / "state.csv"
+        write_state_file(path, state)
+        samples = state.amplitudes / math.sqrt(grid.cell_area)
+        body = "".join(",".join(format_float(v) for v in row) + "\n" for row in samples)
+        assert path.read_text(encoding="utf-8").split("\n", 1)[1] == body
+
+    @pytest.mark.parametrize("separator", [
+        "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+    ])
+    def test_rows_split_as_str_splitlines_splits(self, tmp_path, separator):
+        header = json.dumps({"n1": 3, "n2": 2, "lo1": 0.0, "hi1": 1.0,
+                             "lo2": 0.0, "hi2": 1.0})
+        text = separator.join([header, "1.0,2.0", "3.0,4.0", "5.0,6.0"]) + separator
+        path = tmp_path / "state.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        state = read_state_file(path)
+        expected = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        np.testing.assert_array_equal(state.amplitudes, expected / np.linalg.norm(expected))
+        # A separator inside a row also ends a line, as in str.splitlines.
+        path.write_text(header + "\n1.0,2.0" + separator + "3.0,4.0\n5.0,6.0\n7.0,8.0\n",
+                        encoding="utf-8", newline="")
+        with pytest.raises(StateFileError, match="expected 3 amplitude rows, found 4") as excinfo:
+            read_state_file(path)
+        assert excinfo.value.line == 6
+
+    @pytest.mark.parametrize("body, message, line", [
+        ("1.0,oops\n3.0,4.0\n", "expected 3 amplitude rows, found 2", 4),
+        ("1.0,2.0,3.0\n3.0,4.0\n", "expected 3 amplitude rows, found 2", 4),
+        ("1.0,nan\n1,2\n3,4\n5,6\n", "expected 3 amplitude rows, found 4", 6),
+        ("1.0,2.0\n\n3.0,4.0\n\n \n", "expected 2 values per row, found 1", 3),
+        ("1.0,2.0\n\n3.0,4.0\n4.0,5.0\n", "expected 3 amplitude rows, found 4", 6),
+        ("1.0,2.0\n3.0,x\n\n", "expected 3 amplitude rows, found 2", 4),
+    ])
+    def test_row_count_error_takes_precedence(self, tmp_path, body, message, line):
+        header = json.dumps({"n1": 3, "n2": 2, "lo1": 0.0, "hi1": 1.0,
+                             "lo2": 0.0, "hi2": 1.0})
+        path = tmp_path / "state.csv"
+        path.write_text(header + "\n" + body)
+        with pytest.raises(StateFileError, match=message) as excinfo:
+            read_state_file(path)
+        assert excinfo.value.line == line
+
+    def test_reader_memory_does_not_grow_with_extra_rows(self, tmp_path):
+        # Reading the whole file first peaked at ~14 MB here.
+        header = json.dumps({"n1": 2, "n2": 2, "lo1": 0.0, "hi1": 1.0,
+                             "lo2": 0.0, "hi2": 1.0})
+        path = tmp_path / "state.csv"
+        path.write_text(header + "\n" + "0.5,0.5\n" * 200_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(StateFileError,
+                               match="expected 2 amplitude rows, found 200000") as excinfo:
+                read_state_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert excinfo.value.line == 200_002
+        assert peak < 2**20
 
 
 class TestDiscretizedState:

@@ -1,9 +1,13 @@
 """Tests for the coincidence Monte Carlo sampler."""
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cvschmidt import (
     DomainError,
@@ -16,6 +20,23 @@ from cvschmidt import (
 )
 from cvschmidt import epr_sim
 from cvschmidt.epr_sim import MAX_SYMBOL_PAIRS
+from cvschmidt.util import validate_weights
+
+_CHUNK = epr_sim._CHUNK_SYMBOLS
+_RHO_0999 = truncated_weights(schmidt_number_from_rho(0.999))
+
+
+def one_shot_hits(weights, n, trials, seed):
+    """The experiment's hit count drawn all at once: both sources from one
+    default_rng(seed) stream, first (trials, n) then (trials, n)."""
+    w = validate_weights(weights)
+    cum = np.cumsum(w)
+    cum[-1] = 1.0
+    rng = np.random.default_rng(seed)
+    first = np.searchsorted(cum, rng.random((trials, n)), side="right")
+    second = np.searchsorted(cum, rng.random((trials, n)), side="right")
+    return int(np.sum(np.all(first == second, axis=1)))
+
 
 # Upper 0.001 quantile of chi-square with one degree of freedom, used for
 # the product-structure consistency check.
@@ -142,3 +163,84 @@ class TestCoincidenceExperiment:
             run_coincidence_experiment([0.5, 0.5], 1, 0, seed=0)
         with pytest.raises(DomainError):
             run_coincidence_experiment([0.5, 0.6], 1, 100, seed=0)
+
+
+class TestChunkedExperiment:
+    """The block-wise filtered experiment counts exactly the one-shot hits."""
+
+    @pytest.mark.parametrize("weights, n, trials, seed", [
+        ([0.0, 0.0, 0.6, 0.4], 3, 20_000, 1),
+        ([0.3, 0.0, 0.0, 0.7], 3, 20_000, 2),
+        ([0.5, 0.5, 0.0, 0.0], 3, 20_000, 3),
+        ([0.0, 0.2, 0.0, 0.8, 0.0], 5, 20_000, 4),
+        ([1.0], 3, 1_000, 5),
+        ([1.0, 0.0], 7, 1_000, 6),
+        ([0.0, 1.0], 7, 1_000, 7),
+        ([0.25] * 4, 1, _CHUNK - 1, 8),
+        ([0.25] * 4, 1, _CHUNK, 9),
+        ([0.25] * 4, 1, _CHUNK + 1, 10),
+        ([0.9, 0.1], 4, _CHUNK // 4 - 1, 11),
+        ([0.9, 0.1], 4, _CHUNK // 4, 12),
+        ([0.9, 0.1], 4, _CHUNK // 4 + 1, 13),
+        ([0.9, 0.1], 4, 3 * (_CHUNK // 4) + 5, 14),
+        (_RHO_0999, 4, 1_000, 15),
+        (_RHO_0999, 1, 50_000, 16),
+        ([0.999, 0.001], _CHUNK + 3, 4, 17),
+    ])
+    def test_hits_match_one_shot_draw(self, weights, n, trials, seed):
+        report = run_coincidence_experiment(weights, n, trials, seed)
+        assert report.hits == one_shot_hits(weights, n, trials, seed)
+
+    @given(
+        weights=st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)), min_size=1, max_size=6)
+        .filter(lambda w: sum(w) > 0.0).map(lambda w: [x / math.fsum(w) for x in w]),
+        n=st.integers(1, 12),
+        trials=st.integers(1, 60),
+        chunk=st.integers(1, 40),
+        seed=st.integers(0, 2**32),
+    )
+    @example(weights=[0.97, 0.03], n=21, trials=300, chunk=8, seed=3)
+    @example(weights=[1.0], n=21, trials=30, chunk=8, seed=3)
+    @settings(max_examples=200, deadline=None)
+    def test_any_block_size_matches_one_shot_draw(self, weights, n, trials, chunk, seed):
+        # Small blocks also split single trials across several pieces.
+        with mock.patch.object(epr_sim, "_CHUNK_SYMBOLS", chunk):
+            hits = run_coincidence_experiment(weights, n, trials, seed).hits
+        assert hits == one_shot_hits(weights, n, trials, seed)
+
+    @pytest.mark.parametrize("weights, u1, u2, hit", [
+        ([0.5, 0.5], 0.5, 0.5, True),
+        ([0.5, 0.5], 0.0, 0.0, True),
+        ([0.5, 0.5], np.nextafter(0.5, 0.0), 0.5, False),
+        ([0.5, 0.5], 0.5, np.nextafter(0.5, 0.0), False),
+        ([0.5, 0.0, 0.5], 0.5, 0.5, True),
+        ([0.0, 1.0], 0.0, 0.0, True),
+    ])
+    def test_bucket_edges_follow_searchsorted(self, monkeypatch, weights, u1, u2, hit):
+        # A draw equal to a cumulative weight belongs to the bucket above it.
+        uniforms = iter([u1, u2])
+        monkeypatch.setattr(epr_sim, "_draw", lambda rng, shape: np.full(shape, next(uniforms)))
+        assert run_coincidence_experiment(weights, 1, 3, seed=0).hits == (3 if hit else 0)
+
+    def test_every_uniform_goes_through_draw(self, monkeypatch):
+        drawn = []
+        real = epr_sim._draw
+
+        def counting(rng, shape):
+            drawn.append(int(np.prod(shape)))
+            return real(rng, shape)
+
+        monkeypatch.setattr(epr_sim, "_draw", counting)
+        report = run_coincidence_experiment(_RHO_0999, 4, 100_000, seed=2)
+        assert sum(drawn) == 2 * 100_000 * 4
+        assert report.hits == one_shot_hits(_RHO_0999, 4, 100_000, seed=2)
+
+    def test_memory_is_bounded_by_the_block(self):
+        # The one-shot draw peaks at ~92 MB for this run.
+        tracemalloc.start()
+        try:
+            run_coincidence_experiment(_RHO_0999, 4, 1_000_000, seed=70001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
