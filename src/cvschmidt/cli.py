@@ -328,14 +328,18 @@ def _report_rows(report: InfoReport) -> list:
 def _read_weights_file(path) -> np.ndarray:
     weights = []
     with open(path, "r", encoding="utf-8") as fh:
-        for i, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                weights.append(float(text))
-            except ValueError:
-                raise DomainError(f"invalid weight {text!r} on line {i} of {path}")
+        try:
+            for i, line in enumerate(fh, start=1):
+                text = line.strip()
+                if not text:
+                    continue
+                try:
+                    weights.append(float(text))
+                except ValueError:
+                    raise DomainError(f"invalid weight {text!r} on line {i} of {path}")
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"byte 0x{exc.object[exc.start]:02x} in {path} is not UTF-8 text"
+                              ) from exc
     if not weights:
         raise DomainError(f"no weights found in {path}")
     return np.asarray(weights, dtype=float)

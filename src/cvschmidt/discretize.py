@@ -32,6 +32,12 @@ from .util import log_divisor
 _TOTAL_TOL = 1e-12
 _NORM_TOL = 1e-12
 
+# Grid-sized passes (the squared norm of a state, the joint checks and the
+# mutual-information terms) run over blocks of whole rows of about this many
+# cells, so their temporaries are one 512 KB buffer, not n1 x n2 arrays.
+# Each block is summed pairwise, and so are the block sums.
+_BLOCK_CELLS = 2**16
+
 # Most cells a grid may have (n = 4096 per axis): a dense state of this size
 # holds 128 MB of float64 before any factorization workspace.
 MAX_GRID_CELLS = 2**24
@@ -128,9 +134,15 @@ class DiscretizedState:
                 f"amplitude shape {amp.shape} does not match grid "
                 f"({self.grid.n1}, {self.grid.n2})"
             )
-        if not np.all(np.isfinite(amp)):
+        sums = []
+        with np.errstate(over="ignore"):
+            for rows, squares in _row_blocks(amp):
+                np.multiply(amp[rows], amp[rows], out=squares)
+                sums.append(np.sum(squares))
+            total = float(np.sum(sums))
+        # A non-finite sum has a non-finite amplitude or squares that overflow.
+        if not math.isfinite(total) and not np.all(np.isfinite(amp)):
             raise DomainError("amplitudes must be finite")
-        total = float(np.sum(amp * amp))
         if abs(total - 1.0) > _NORM_TOL:
             raise DomainError(f"normalized state has squared norm {total!r}, not 1")
 
@@ -188,12 +200,17 @@ def sample_state(f, grid: GridSpec) -> DiscretizedState:
 
 
 def _normalized_state(grid: GridSpec, values: np.ndarray, zero_message: str) -> DiscretizedState:
-    """Scale finite midpoint values by sqrt(cell area) and rescale to unit norm."""
+    """Scale finite midpoint values by sqrt(cell area) and rescale to unit norm.
+
+    `values` may belong to the caller (an amplitude function's result), so
+    only the arrays made here are rescaled in place.
+    """
     with np.errstate(over="ignore", under="ignore"):
         scaled = values * math.sqrt(grid.cell_area)
         raw_norm = float(np.linalg.norm(scaled))
     if 0.0 < raw_norm < math.inf:
-        return DiscretizedState(grid=grid, amplitudes=scaled / raw_norm, raw_norm=raw_norm)
+        scaled /= raw_norm
+        return DiscretizedState(grid=grid, amplitudes=scaled, raw_norm=raw_norm)
     peak = float(np.max(np.abs(values)))
     if peak == 0.0:
         raise DomainError(zero_message)
@@ -202,18 +219,40 @@ def _normalized_state(grid: GridSpec, values: np.ndarray, zero_message: str) -> 
     unit = values / peak
     unit_norm = float(np.linalg.norm(unit))
     raw_norm = peak * math.sqrt(grid.cell_area) * unit_norm
-    return DiscretizedState(grid=grid, amplitudes=unit / unit_norm, raw_norm=raw_norm)
+    unit /= unit_norm
+    return DiscretizedState(grid=grid, amplitudes=unit, raw_norm=raw_norm)
+
+
+def _row_blocks(a: np.ndarray):
+    """Consecutive blocks of whole rows of the matrix `a`, about _BLOCK_CELLS
+    cells each: yields each block's row slice and a scratch array of the
+    block's shape (views of one buffer, reused from block to block)."""
+    n1, n2 = a.shape
+    size = max(1, min(n1, _BLOCK_CELLS // max(n2, 1)))
+    buffer = np.empty((size, n2))
+    for start in range(0, n1, size):
+        rows = slice(start, min(start + size, n1))
+        yield rows, buffer[:rows.stop - start]
 
 
 def _validate_joint(p_joint) -> np.ndarray:
     p = np.asarray(p_joint, dtype=float)
     if p.ndim != 2:
         raise DomainError(f"joint distribution must be a matrix, got ndim={p.ndim}")
-    if not np.all(np.isfinite(p)):
-        raise DomainError("joint distribution must be finite")
-    if np.any(p < 0.0):
+    sums = []
+    negative = False
+    with np.errstate(over="ignore"):
+        for rows, _ in _row_blocks(p):
+            block = p[rows]
+            block_sum = np.sum(block)
+            # A non-finite sum has a non-finite entry or entries that overflow.
+            if not np.isfinite(block_sum) and not np.all(np.isfinite(block)):
+                raise DomainError("joint distribution must be finite")
+            negative = negative or np.min(block, initial=0.0) < 0.0
+            sums.append(block_sum)
+        total = float(np.sum(sums))
+    if negative:
         raise DomainError("joint distribution has negative entries")
-    total = float(np.sum(p))
     if abs(total - 1.0) > _TOTAL_TOL:
         raise DomainError(f"joint distribution sums to {total!r}, not 1")
     return p
@@ -228,24 +267,34 @@ def marginals(p_joint) -> tuple[np.ndarray, np.ndarray]:
 def shannon_mi_numeric(p_joint, log_base=math.e) -> float:
     """Discrete mutual information sum p*log(p/(p1*p2)) over cells.
 
-    Cells with p = 0 contribute 0.  The terms are accumulated by numpy's
-    pairwise summation, whose error is bounded by about
-    eps * log2(N) * sum|term| over N cells (~4e-15 on a 1000 x 1000
-    Gaussian grid at rho = 0.9) and which is deterministic for a fixed numpy
-    build.  Tiny negative float residue on product joints is clamped to 0.
-    A joint whose ratio p / (p1 * p2) exceeds the float range (e.g. a cell
-    below ~5.6e-309 alone in its row and column) raises DomainError.
+    Cells with p = 0 contribute 0.  The terms are formed and summed in
+    blocks of whole rows (about 2**16 cells each, so the only temporaries
+    are one block-sized buffer and the marginals): row-blocked pairwise
+    summation, numpy's pairwise sum inside each block and again over the
+    block sums.  Its error is bounded by about eps * log2(N) * sum|term|
+    over N cells (~4e-15 on a 1000 x 1000 Gaussian grid at rho = 0.9), and
+    the result is deterministic for a fixed numpy build.
+    Tiny negative float residue on product joints is clamped to 0.  A joint
+    whose ratio p / (p1 * p2) exceeds the float range (e.g. a cell below
+    ~5.6e-309 alone in its row and column) raises DomainError.
     """
     divisor = log_divisor(log_base)
     p = _validate_joint(p_joint)
     p1, p2 = p.sum(axis=1), p.sum(axis=0)
-    mask = p > 0.0
+    sums = []
     # p1 * p2 can underflow where (p / p1) / p2 does not, so only the ratio
-    # is formed; a ratio that overflows makes the total non-finite.
+    # is formed; a ratio that overflows makes the total non-finite.  A cell
+    # with p = 0 gets ratio 1, so its term is log(1) * 0 = 0.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ratio = (p / p1[:, None]) / p2[None, :]
-    terms = p[mask] * np.log(ratio[mask])
-    total = float(np.sum(terms))
+        for rows, terms in _row_blocks(p):
+            block = p[rows]
+            np.divide(block, p1[rows, None], out=terms)
+            np.divide(terms, p2, out=terms)
+            np.copyto(terms, 1.0, where=block == 0.0)
+            np.log(terms, out=terms)
+            np.multiply(terms, block, out=terms)
+            sums.append(np.sum(terms))
+        total = float(np.sum(sums))
     if not math.isfinite(total):
         raise DomainError(f"mutual information evaluated to {total}, outside the float range")
     if total < -1e-9:
@@ -278,9 +327,19 @@ def write_state_file(path, state: DiscretizedState) -> None:
 
 
 def _logical_lines(fh):
-    """Lines of a text file split as str.splitlines splits the whole text."""
+    """Lines of a UTF-8 file opened in binary mode, split as str.splitlines
+    splits the whole text; StateFileError names the line of a byte that is
+    not UTF-8."""
+    line = 0
     for physical in fh:
-        yield from physical.splitlines()
+        try:
+            lines = physical.decode("utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            before = physical[:exc.start].decode("utf-8")
+            raise StateFileError(f"byte 0x{physical[exc.start]:02x} is not UTF-8 text",
+                                 line=line + len((before + "x").splitlines())) from exc
+        line += len(lines)
+        yield from lines
 
 
 def _read_header(text: str) -> GridSpec:
@@ -352,9 +411,10 @@ def read_state_file(path) -> DiscretizedState:
     StateFileError with 1-based line/column for malformed content and
     DomainError for an all-zero body.  The body is streamed: memory holds
     the n1 * n2 parsed samples and one line, however long the file is.  A
-    wrong row count is reported before any malformed row.
+    wrong row count is reported before any malformed row; a byte that is not
+    UTF-8 is reported where it is read.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         lines = _logical_lines(fh)
         grid = _read_header(next(lines, ""))
         samples = np.empty((grid.n1, grid.n2))

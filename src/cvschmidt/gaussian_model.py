@@ -99,12 +99,7 @@ def density(params: GaussianParams, x1, x2):
     Accepts scalars or numpy arrays (broadcast together); returns a float
     for scalar input.  Integrates to 1 over the plane.
     """
-    t1 = (np.asarray(x1, dtype=float) - params.m1) / params.sigma1
-    t2 = (np.asarray(x2, dtype=float) - params.m2) / params.sigma2
-    one_minus_r2 = (1.0 - params.rho) * (1.0 + params.rho)
-    z = t1 * t1 - 2.0 * params.rho * t1 * t2 + t2 * t2
-    norm = 2.0 * math.pi * params.sigma1 * params.sigma2 * math.sqrt(one_minus_r2)
-    out = np.exp(-z / (2.0 * one_minus_r2)) / norm
+    out = _density_array(params, x1, x2)
     if out.ndim == 0:
         return float(out)
     return out
@@ -112,7 +107,31 @@ def density(params: GaussianParams, x1, x2):
 
 def wavefunction(params: GaussianParams, x1, x2):
     """Real nonnegative amplitude sqrt(density)."""
-    return np.sqrt(density(params, x1, x2))
+    out = _density_array(params, x1, x2)
+    np.sqrt(out, out=out)
+    return out[()] if out.ndim == 0 else out
+
+
+def _density_array(params: GaussianParams, x1, x2) -> np.ndarray:
+    """The density as an array of the broadcast shape.
+
+    Only the output is full-size: the exponent is built in it in place, in
+    the order exp(-(t1^2 - 2 rho t1 t2 + t2^2) / (2 (1 - rho^2))) / norm
+    evaluates, with -z / c computed as z / -c, which IEEE arithmetic rounds
+    identically.
+    """
+    t1 = (np.asarray(x1, dtype=float) - params.m1) / params.sigma1
+    t2 = (np.asarray(x2, dtype=float) - params.m2) / params.sigma2
+    one_minus_r2 = (1.0 - params.rho) * (1.0 + params.rho)
+    norm = 2.0 * math.pi * params.sigma1 * params.sigma2 * math.sqrt(one_minus_r2)
+    out = np.empty(np.broadcast_shapes(t1.shape, t2.shape))
+    np.multiply(2.0 * params.rho * t1, t2, out=out)
+    np.subtract(t1 * t1, out, out=out)
+    np.add(out, t2 * t2, out=out)
+    np.divide(out, -(2.0 * one_minus_r2), out=out)
+    np.exp(out, out=out)
+    np.divide(out, norm, out=out)
+    return out
 
 
 def schmidt_number_from_rho(rho: float) -> float:

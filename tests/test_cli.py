@@ -290,6 +290,15 @@ class TestDecompose:
         code, _, err = run_cli(capsys, "decompose", str(tmp_path / "nope.csv"))
         assert code == 1
 
+    def test_non_utf8_byte_is_an_input_error(self, capsys, tmp_path):
+        path = tmp_path / "state.csv"
+        header = json.dumps({"n1": 2, "n2": 2, "lo1": 0.0, "hi1": 1.0,
+                             "lo2": 0.0, "hi2": 1.0})
+        path.write_bytes(header.encode() + b"\n1.0,2.0\n3.0,4.0\xe9\n")
+        code, out, err = run_cli(capsys, "decompose", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: byte 0xe9 is not UTF-8 text (line 3)\n"
+
     def test_numerical_failure_maps_to_exit_two(self, capsys, tmp_path, monkeypatch,
                                                 reference_params):
         path = tmp_path / "state.csv"
@@ -394,6 +403,13 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", "--weights-file", str(path))
         assert code == 1
         assert "line 2" in err
+
+    def test_non_utf8_weights_file_is_an_input_error(self, capsys, tmp_path):
+        path = tmp_path / "weights.txt"
+        path.write_bytes(b"0.5\n0.5\xe9\n")
+        code, out, err = run_cli(capsys, "simulate", "--weights-file", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: byte 0xe9 in {path} is not UTF-8 text\n"
 
     def test_draw_budget_is_an_input_error(self, capsys):
         code, out, err = run_cli(capsys, "simulate", "--rho", "0.9", "--n", "4",

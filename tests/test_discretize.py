@@ -198,6 +198,44 @@ class TestSampleState:
             with pytest.raises(DomainError):
                 sample_state(lambda x1, x2: 1.0 / (x1 - x1), grid)
 
+    @pytest.mark.parametrize("factor", [1.0, 1e-170, 1e200])
+    def test_matches_the_out_of_place_normalization(self, reference_params, factor):
+        # 1e-170 and 1e200 take the peak-rescale fallback.
+        grid = build_grid(reference_params, 300, span=8.0)
+        values = factor * wavefunction(reference_params, grid.midpoints1[:, None],
+                                       grid.midpoints2[None, :])
+        returned = values.copy()
+        state = sample_state(lambda x1, x2: returned, grid)
+        with np.errstate(over="ignore", under="ignore"):
+            scaled = values * math.sqrt(grid.cell_area)
+            raw_norm = float(np.linalg.norm(scaled))
+        if factor == 1.0:
+            assert 0.0 < raw_norm < math.inf
+            amplitudes = scaled / raw_norm
+        else:
+            assert raw_norm in (0.0, math.inf)
+            peak = float(np.max(np.abs(values)))
+            unit = values / peak
+            unit_norm = float(np.linalg.norm(unit))
+            raw_norm = peak * math.sqrt(grid.cell_area) * unit_norm
+            amplitudes = unit / unit_norm
+        assert np.array_equal(state.amplitudes, amplitudes)
+        assert state.raw_norm == raw_norm
+        # The array the amplitude function returned is left as it was.
+        assert np.array_equal(returned, values)
+
+    def test_peak_memory_at_n1000(self, reference_params):
+        grid = build_grid(reference_params, 1000, span=8.0)
+        tracemalloc.start()
+        try:
+            state = sample_state(lambda x1, x2: wavefunction(reference_params, x1, x2), grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The amplitude function's result and the state, ~2.07 times the
+        # state; with full-size temporaries the peak was 4.0 times.
+        assert peak <= 2.5 * state.amplitudes.nbytes
+
 
 class TestMarginals:
     def test_uniform_two_by_two(self):
@@ -339,6 +377,34 @@ class TestShannonMiNumeric:
         mi = shannon_mi_numeric(p)
         assert abs(mi - exact) <= 1e-14
         assert abs(mi - shannon_mi_gaussian(rho)) <= 1e-12
+
+    def test_peak_memory_at_n1000(self, reference_params):
+        p = gaussian_state(reference_params, 1000, span=8.0).probabilities()
+        tracemalloc.start()
+        try:
+            shannon_mi_numeric(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One row-block buffer and the marginals, ~0.6 MB; the full-grid
+        # ratio, mask and terms peaked at ~33 MB.
+        assert peak <= 2**20
+
+    def test_check_order_holds_across_row_blocks(self):
+        # Rows 0 and 150 of a 200 x 1000 joint fall in different row blocks.
+        joint = np.full((200, 1000), 1.0 / 200_000)
+        joint[0, 0] = -joint[0, 0]
+        joint[150, 3] = math.nan
+        for check in (marginals, shannon_mi_numeric):
+            with pytest.raises(DomainError, match="must be finite"):
+                check(joint)
+        joint[150, 3] = 1.0 / 200_000
+        with pytest.raises(DomainError, match="negative entries"):
+            shannon_mi_numeric(joint)
+
+    def test_overflowing_finite_joint_fails_its_sum_check(self):
+        with pytest.raises(DomainError, match="sums to inf"):
+            shannon_mi_numeric(np.array([[1e308, 1e308], [0.0, 0.0]]))
 
 
 class TestStateFiles:
@@ -571,12 +637,46 @@ class TestStateFiles:
         assert excinfo.value.line == 200_002
         assert peak < 2**20
 
+    @pytest.mark.parametrize("body, line", [
+        (b"\xe9\n1,2\n", 2),
+        (b"1,2\n3,4\xe9\n", 3),
+        ("1,2\u20283,".encode() + b"4\xe9\n", 3),
+        (b"1,2\r3,4\n\n\n\xff\n", 6),
+    ])
+    def test_non_utf8_byte_reports_its_line(self, tmp_path, body, line):
+        header = json.dumps({"n1": 2, "n2": 2, "lo1": 0.0, "hi1": 1.0,
+                             "lo2": 0.0, "hi2": 1.0})
+        path = tmp_path / "state.csv"
+        path.write_bytes(header.encode() + b"\n" + body)
+        with pytest.raises(StateFileError, match="is not UTF-8 text") as excinfo:
+            read_state_file(path)
+        assert excinfo.value.line == line
+
+    def test_non_utf8_header_fails_at_line_one(self, tmp_path):
+        path = tmp_path / "state.csv"
+        path.write_bytes(b'{"n1": 2, "n2": 2, "lo1": 0, "hi1": 1, "lo2": 0, "hi2": 1, '
+                         b'"note": "\xe9"}\n1,2\n3,4\n')
+        with pytest.raises(StateFileError, match="byte 0xe9 is not UTF-8 text") as excinfo:
+            read_state_file(path)
+        assert excinfo.value.line == 1
+
 
 class TestDiscretizedState:
     def test_normalized_flag_enforced(self):
         grid = GridSpec(n1=2, n2=2, lo1=0.0, hi1=1.0, lo2=0.0, hi2=1.0)
         with pytest.raises(DomainError):
             DiscretizedState(grid=grid, amplitudes=np.full((2, 2), 0.9))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_amplitudes_rejected_before_the_norm_check(self, bad):
+        grid = GridSpec(n1=2, n2=2, lo1=0.0, hi1=1.0, lo2=0.0, hi2=1.0)
+        with pytest.raises(DomainError, match="amplitudes must be finite"):
+            DiscretizedState(grid=grid, amplitudes=np.array([[0.5, 1e200], [0.5, bad]]))
+
+    def test_overflowing_squares_fail_the_norm_check(self):
+        grid = GridSpec(n1=2, n2=2, lo1=0.0, hi1=1.0, lo2=0.0, hi2=1.0)
+        with pytest.raises(DomainError, match="squared norm inf"):
+            DiscretizedState(grid=grid, amplitudes=np.array([[0.5, 1e200], [0.5, 0.5]]))
 
     def test_shape_must_match_grid(self):
         grid = GridSpec(n1=2, n2=3, lo1=0.0, hi1=1.0, lo2=0.0, hi2=1.0)

@@ -122,6 +122,58 @@ class TestDensity:
             math.sqrt(1.0 / (2.0 * math.pi)), rel=1e-15)
 
 
+def _reference_density(params, x1, x2):
+    """The density as one expression with full-size temporaries (the
+    reference the in-place evaluation must match bit for bit)."""
+    t1 = (np.asarray(x1, dtype=float) - params.m1) / params.sigma1
+    t2 = (np.asarray(x2, dtype=float) - params.m2) / params.sigma2
+    one_minus_r2 = (1.0 - params.rho) * (1.0 + params.rho)
+    z = t1 * t1 - 2.0 * params.rho * t1 * t2 + t2 * t2
+    norm = 2.0 * math.pi * params.sigma1 * params.sigma2 * math.sqrt(one_minus_r2)
+    out = np.exp(-z / (2.0 * one_minus_r2)) / norm
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
+_COORDINATE = st.floats(-40.0, 40.0)
+
+
+@st.composite
+def _density_arguments(draw):
+    """x1, x2 as scalars, 0-d arrays, broadcast axis vectors or a full meshgrid."""
+    kind = draw(st.sampled_from(["scalar", "0-d", "broadcast", "meshgrid", "vectors"]))
+    if kind == "scalar":
+        return draw(_COORDINATE), draw(_COORDINATE)
+    if kind == "0-d":
+        return np.array(draw(_COORDINATE)), np.array(draw(_COORDINATE))
+    axis1 = np.array(draw(st.lists(_COORDINATE, min_size=1, max_size=7)))
+    axis2 = np.array(draw(st.lists(_COORDINATE, min_size=1, max_size=7)))
+    if kind == "broadcast":
+        return axis1[:, None], axis2[None, :]
+    if kind == "meshgrid":
+        return np.meshgrid(axis1, axis2, indexing="ij")
+    return axis1, draw(_COORDINATE)
+
+
+class TestInPlaceEvaluation:
+    @given(
+        params=st.builds(GaussianParams, m1=st.floats(-3.0, 3.0), m2=st.floats(-3.0, 3.0),
+                         sigma1=st.floats(0.1, 5.0), sigma2=st.floats(0.1, 5.0),
+                         rho=st.floats(-0.99999, 0.99999)),
+        arguments=_density_arguments(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_the_single_expression(self, params, arguments):
+        x1, x2 = arguments
+        want = _reference_density(params, x1, x2)
+        got = density(params, x1, x2)
+        psi = wavefunction(params, x1, x2)
+        assert type(got) is type(want)
+        assert np.array_equal(got, want)
+        assert type(psi) is type(np.sqrt(want))
+        assert np.array_equal(psi, np.sqrt(want))
+
 class TestSchmidtNumberMaps:
     def test_uncorrelated_gives_unit_schmidt_number(self):
         assert schmidt_number_from_rho(0.0) == 1.0
