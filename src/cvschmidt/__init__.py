@@ -1,9 +1,11 @@
 """Schmidt decomposition of discretized continuous-variable bipartite states.
 
-The package pairs a numerical pipeline (uniform-grid discretization plus
-dense SVD) with the exactly solvable correlated Gaussian state, whose
-geometric Schmidt spectrum, Hermite-function modes, entropies, and thermal
-mapping are all available in closed form for validation.
+The package pairs a numerical pipeline (uniform-grid discretization, then a
+dense SVD, a certified randomized factorization, or the eigenvalues of the
+Gram matrix, chosen from the grid size and the spectrum's decay) with the
+exactly solvable correlated Gaussian state, whose geometric Schmidt
+spectrum, Hermite-function modes, entropies, and thermal mapping are all
+available in closed form for validation.
 """
 
 from .discretize import (
@@ -36,7 +38,6 @@ from .gaussian_model import (
 )
 from .information import (
     InfoReport,
-    Microstates,
     coincidence_probability,
     effective_microstates,
     info_report,
@@ -56,7 +57,6 @@ __all__ = [
     "GridSpec",
     "InfoReport",
     "K_from_beta",
-    "Microstates",
     "NumericalError",
     "SchmidtSpectrum",
     "StateFileError",

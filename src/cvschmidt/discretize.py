@@ -14,6 +14,7 @@ feeding externally produced amplitude matrices to the decomposition CLI.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -41,17 +42,6 @@ _BLOCK_CELLS = 2**16
 # Most cells a grid may have (n = 4096 per axis): a dense state of this size
 # holds 128 MB of float64 before any factorization workspace.
 MAX_GRID_CELLS = 2**24
-
-# State-file header fields: accepted JSON types and the stored type.
-_HEADER_TYPES = {
-    "n1": (int, int),
-    "n2": (int, int),
-    "lo1": ((int, float), float),
-    "hi1": ((int, float), float),
-    "lo2": ((int, float), float),
-    "hi2": ((int, float), float),
-}
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -105,6 +95,14 @@ class GridSpec:
     @property
     def midpoints2(self) -> np.ndarray:
         return self.lo2 + (np.arange(self.n2) + 0.5) * self.dx2
+
+
+# State-file header fields, in GridSpec field order: accepted JSON types and
+# the stored type.
+_HEADER_TYPES = {
+    field.name: (int, int) if field.type == "int" else ((int, float), float)
+    for field in dataclasses.fields(GridSpec)
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,14 +172,28 @@ def build_grid(params: GaussianParams, n: int, span: float = 6.0) -> GridSpec:
 def _evaluate_on_grid(f, grid: GridSpec) -> np.ndarray:
     x1 = grid.midpoints1
     x2 = grid.midpoints2
+    shape = (grid.n1, grid.n2)
     try:
         values = np.asarray(f(x1[:, None], x2[None, :]), dtype=float)
-        if values.shape != (grid.n1, grid.n2):
-            values = np.broadcast_to(values, (grid.n1, grid.n2)).copy()
     except (TypeError, ValueError):
         # Fall back for amplitude functions that only accept scalars.
-        values = np.array([[float(f(a, b)) for b in x2] for a in x1])
-    return values
+        return np.array([[_cell_value(f, a, b) for b in x2] for a in x1])
+    try:
+        # A read-only view, not a copy: nothing downstream writes into `values`.
+        return np.broadcast_to(values, shape)
+    except ValueError:
+        raise DomainError(f"amplitude function returned shape {values.shape}, which does "
+                          f"not broadcast to the grid shape {shape}") from None
+
+
+def _cell_value(f, a, b) -> float:
+    """f(a, b) for an amplitude function that only accepts scalars; one number."""
+    value = f(a, b)
+    try:
+        return float(np.asarray(value, dtype=float).reshape(()))
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"amplitude function returned {value!r} at ({a}, {b}), "
+                          "not one number") from exc
 
 
 def sample_state(f, grid: GridSpec) -> DiscretizedState:
@@ -309,19 +321,11 @@ def write_state_file(path, state: DiscretizedState) -> None:
     sqrt(cell area)); scale is irrelevant on load since reading normalizes.
     """
     grid = state.grid
-    header = {
-        "n1": grid.n1,
-        "n2": grid.n2,
-        "lo1": grid.lo1,
-        "hi1": grid.hi1,
-        "lo2": grid.lo2,
-        "hi2": grid.hi2,
-    }
     samples = state.amplitudes / math.sqrt(grid.cell_area)
     # One format string per row: "%.17g" prints what format_float prints.
     row_format = ",".join(["%.17g"] * grid.n2) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header) + "\n")
+        fh.write(json.dumps(dataclasses.asdict(grid)) + "\n")
         for row in samples:
             fh.write(row_format % tuple(row.tolist()))
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .util import log_divisor
+from .util import log_divisor, require_schmidt_number
 
 # Mode sums stop once sqrt(lambda_k) falls below this floor or after this
 # many terms; sampling spectra stop once the geometric tail is below
@@ -63,8 +63,7 @@ class GaussianParams:
                 raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.sigma1 > 0.0 and self.sigma2 > 0.0):
             raise DomainError("sigma1 and sigma2 must be positive")
-        if not abs(self.rho) < 1.0:
-            raise DomainError("rho must lie strictly inside (-1, 1)")
+        _require_rho(self.rho)
 
     @property
     def schmidt_number(self) -> float:
@@ -84,8 +83,7 @@ class GeometricSpectrum:
 
     @classmethod
     def from_K(cls, K: float) -> "GeometricSpectrum":
-        if not K >= 1.0:
-            raise DomainError(f"Schmidt number must be >= 1, got {K}")
+        require_schmidt_number(K)
         return cls(K=K, lambda0=2.0 / (K + 1.0), q=(K - 1.0) / (K + 1.0))
 
     def tail_mass(self, count: int) -> float:
@@ -134,17 +132,20 @@ def _density_array(params: GaussianParams, x1, x2) -> np.ndarray:
     return out
 
 
-def schmidt_number_from_rho(rho: float) -> float:
-    """Schmidt number K = 1/sqrt(1 - rho^2); K = 1 iff rho = 0."""
+def _require_rho(rho: float) -> None:
     if not abs(rho) < 1.0:
         raise DomainError("rho must lie strictly inside (-1, 1)")
+
+
+def schmidt_number_from_rho(rho: float) -> float:
+    """Schmidt number K = 1/sqrt(1 - rho^2); K = 1 iff rho = 0."""
+    _require_rho(rho)
     return 1.0 / math.sqrt((1.0 - rho) * (1.0 + rho))
 
 
 def rho_squared_from_K(K: float) -> float:
     """Squared correlation rho^2 = 1 - 1/K^2, the inverse map up to sign."""
-    if not K >= 1.0:
-        raise DomainError(f"Schmidt number must be >= 1, got {K}")
+    require_schmidt_number(K)
     return (K - 1.0) * (K + 1.0) / (K * K)
 
 
@@ -227,8 +228,7 @@ def analytic_mode(k: int, m: float, sigma: float, K: float, x):
     """
     if sigma <= 0.0:
         raise DomainError("sigma must be positive")
-    if not K >= 1.0:
-        raise DomainError(f"Schmidt number must be >= 1, got {K}")
+    require_schmidt_number(K)
     u, prefactor = _mode_argument(m, sigma, K, x)
     return prefactor * hermite_function(k, u)
 
@@ -253,8 +253,11 @@ def analytic_modes(params: GaussianParams, axis: int, x):
 
     Item k equals analytic_mode_pair(params, k, ...)[axis - 1] bit for bit,
     but one recurrence walk serves every k, so the first `count` modes cost
-    `count` steps instead of count^2 / 2.
+    `count` steps instead of count^2 / 2.  Any other axis raises DomainError
+    when the first mode is requested.
     """
+    if axis not in (1, 2):
+        raise DomainError(f"axis must be 1 or 2, got {axis!r}")
     K = schmidt_number_from_rho(params.rho)
     m, sigma = (params.m1, params.sigma1) if axis == 1 else (params.m2, params.sigma2)
     u, prefactor = _mode_argument(m, sigma, K, x)
@@ -272,22 +275,16 @@ def synthesize_wavefunction(params: GaussianParams, x1, x2):
     error is bounded by the remaining sqrt-weight tail times the mode
     amplitude bound.
     """
-    K = schmidt_number_from_rho(params.rho)
-    spec = GeometricSpectrum.from_K(K)
-    u1, pref1 = _mode_argument(params.m1, params.sigma1, K, x1)
-    u2, pref2 = _mode_argument(params.m2, params.sigma2, K, x2)
-    if params.rho < 0.0:
-        # h_k(-u) = (-1)^k h_k(u) gives the axis-2 orientation for rho < 0.
-        u2 = -u2
+    spec = GeometricSpectrum.from_K(params.schmidt_number)
     sqrt_q = math.sqrt(spec.q)
     sqrt_lam = math.sqrt(spec.lambda0)
 
-    total = np.zeros(np.broadcast(u1, u2).shape)
-    modes = zip(hermite_functions(u1), hermite_functions(u2))
-    for _, (h1, h2) in zip(range(_MAX_MODES), modes):
+    total = np.zeros(np.broadcast_shapes(np.shape(x1), np.shape(x2)))
+    modes = zip(analytic_modes(params, 1, x1), analytic_modes(params, 2, x2))
+    for _, (mode1, mode2) in zip(range(_MAX_MODES), modes):
         if sqrt_lam < _SQRT_WEIGHT_FLOOR:
             break
-        total = total + sqrt_lam * (pref1 * h1) * (pref2 * h2)
+        total = total + sqrt_lam * mode1 * mode2
         sqrt_lam *= sqrt_q
         if sqrt_lam == 0.0:
             break
@@ -302,8 +299,7 @@ def closed_form_entropy(K: float, log_base=math.e) -> float:
     S = log((K+1)/2) + ((K-1)/2) log((K+1)/(K-1)), written in log1p form to
     stay accurate near K = 1, where the limit is 0.
     """
-    if not K >= 1.0:
-        raise DomainError(f"Schmidt number must be >= 1, got {K}")
+    require_schmidt_number(K)
     divisor = log_divisor(log_base)
     if K == 1.0:
         return 0.0
@@ -318,7 +314,6 @@ def shannon_mi_gaussian(rho: float, log_base=math.e) -> float:
     Equals the Schmidt information per symbol pair; 0 at rho = 0, even in
     rho, and computed as -(1/2) log(1 - rho^2) without cancellation.
     """
-    if not abs(rho) < 1.0:
-        raise DomainError("rho must lie strictly inside (-1, 1)")
+    _require_rho(rho)
     nats = -0.5 * (math.log1p(-rho) + math.log1p(rho))
     return max(nats, 0.0) / log_divisor(log_base)

@@ -11,20 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .errors import DomainError
-from .util import log_divisor
+from .util import _LN2, log_divisor, require_schmidt_number
 
 # Past this, exp(x) exceeds double range (overflow near 709.8).
 _LOG_SPACE_THRESHOLD = 700.0
-
-
-class Microstates(NamedTuple):
-    """Microstate count W, either directly or as ln W when `log_space`."""
-
-    value: float
-    log_space: bool
 
 
 @dataclass(frozen=True)
@@ -46,8 +38,7 @@ class InfoReport:
 
 
 def _validate(K: float, n: int) -> None:
-    if not K >= 1.0:
-        raise DomainError(f"Schmidt number must be >= 1, got {K}")
+    require_schmidt_number(K)
     if n < 1:
         raise DomainError(f"symbol count must be >= 1, got {n}")
 
@@ -64,7 +55,7 @@ def schmidt_information(K: float, n: int, log_base=math.e) -> float:
     return n * math.log(K) / log_divisor(log_base)
 
 
-def effective_microstates(K: float, n: int) -> Microstates:
+def effective_microstates(K: float, n: int) -> tuple[float, bool]:
     """Equivalent equiprobable-state count W = K**n, log-space guarded.
 
     Returns (K**n, False) while representable; (n*ln K, True) once the
@@ -73,26 +64,20 @@ def effective_microstates(K: float, n: int) -> Microstates:
     _validate(K, n)
     ln_w = n * math.log(K)
     if ln_w > _LOG_SPACE_THRESHOLD:
-        return Microstates(value=ln_w, log_space=True)
-    return Microstates(value=float(K) ** int(n), log_space=False)
+        return ln_w, True
+    return float(K) ** int(n), False
 
 
 def info_report(K: float, n_symbols: int) -> InfoReport:
     """Assemble the full InfoReport for one spectrum and sample size."""
-    _validate(K, n_symbols)
-    i_nats = schmidt_information(K, n_symbols, math.e)
-    i_bits = schmidt_information(K, n_symbols, 2)
-    w = effective_microstates(K, n_symbols)
-    if w.log_space:
-        p = math.exp(-i_nats)
-    else:
-        p = 1.0 / w.value
+    w, log_space = effective_microstates(K, n_symbols)
+    i_nats = n_symbols * math.log(K)
     return InfoReport(
         K=float(K),
         n_symbols=int(n_symbols),
-        I_bits=i_bits,
+        I_bits=i_nats / _LN2,
         I_nats=i_nats,
-        W=w.value,
-        p_coincidence=p,
-        w_log_space=w.log_space,
+        W=w,
+        p_coincidence=math.exp(-i_nats) if log_space else 1.0 / w,
+        w_log_space=log_space,
     )

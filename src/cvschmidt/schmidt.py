@@ -130,8 +130,7 @@ def decompose(state: DiscretizedState) -> SchmidtSpectrum:
             found = _sketch(a)
             if found is None:
                 return SchmidtSpectrum(_gram_weights(a), state.grid, amplitudes=a)
-            u, s, vt, discarded = found
-            factors = _sign_fixed(u, s, vt)
+            factors, discarded = found
     s = factors[1]
     return SchmidtSpectrum(s * s, state.grid, discarded, factors=factors)
 
@@ -187,6 +186,7 @@ def _test_matrix(rows: int, start: int) -> np.ndarray:
 def _sketch(a: np.ndarray):
     """Randomized factorization certified to leave out at most _TAIL, or None.
 
+    Returns the sign-fixed factors (u, s, v) and the discarded weight.
     Returns None, holding nothing, once the per-block decay of the leftover
     weight predicts that more than min(n1, n2) // _CAP_DIVISOR columns are
     needed.
@@ -221,7 +221,7 @@ def _sketch(a: np.ndarray):
         if q.shape[1] + _BLOCK * blocks > cap:
             return None
     ub, s, vt = np.linalg.svd(b, full_matrices=False)
-    return q @ ub, s, vt, leftover
+    return _sign_fixed(q @ ub, s, vt), leftover
 
 
 def schmidt_number(weights) -> float:

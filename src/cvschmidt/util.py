@@ -27,6 +27,12 @@ def log_divisor(log_base) -> float:
     raise DomainError(f"log base must be 2 or 'e', got {log_base!r}")
 
 
+def require_schmidt_number(K) -> None:
+    """Raise DomainError unless K >= 1 (NaN fails too), the domain of every map of K."""
+    if not K >= 1.0:
+        raise DomainError(f"Schmidt number must be >= 1, got {K}")
+
+
 def validate_weights(weights) -> np.ndarray:
     """Check a probability vector and return it as a flat float array.
 

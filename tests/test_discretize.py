@@ -187,6 +187,34 @@ class TestSampleState:
         vectorized = sample_state(lambda x1, x2: np.exp(-x1 ** 2 - x2 ** 2), grid)
         np.testing.assert_array_equal(state.amplitudes, vectorized.amplitudes)
 
+    @pytest.mark.parametrize("shape, message", [
+        ((3,), r"returned shape \(3,\), which does not broadcast to the grid shape \(4, 4\)"),
+        ((4, 4, 2), r"returned shape \(4, 4, 2\), which does not broadcast to the grid shape "
+                    r"\(4, 4\)"),
+    ])
+    def test_result_that_does_not_broadcast_to_the_grid_is_rejected(self, shape, message):
+        grid = GridSpec(n1=4, n2=4, lo1=0.0, hi1=1.0, lo2=0.0, hi2=1.0)
+        calls = []
+
+        def wrong_shape(x1, x2):
+            calls.append((x1, x2))
+            return np.ones(shape)
+
+        with pytest.raises(DomainError, match=message):
+            sample_state(wrong_shape, grid)
+        assert len(calls) == 1  # no cell-by-cell retry
+
+    @pytest.mark.parametrize("result", ["abc", (0.5, "x"), np.array([1.0, 2.0]), {}])
+    def test_scalar_only_function_must_return_one_number(self, result):
+        grid = GridSpec(n1=4, n2=4, lo1=0.0, hi1=1.0, lo2=0.0, hi2=1.0)
+
+        def scalar_only(x1, x2):
+            float(x1)  # refuses arrays, so the grid is evaluated cell by cell
+            return result
+
+        with pytest.raises(DomainError, match=r"at \(0.125, 0.125\), not one number"):
+            sample_state(scalar_only, grid)
+
     def test_zero_function_rejected(self):
         grid = GridSpec(n1=4, n2=4, lo1=0.0, hi1=1.0, lo2=0.0, hi2=1.0)
         with pytest.raises(DomainError):
@@ -583,6 +611,21 @@ class TestStateFiles:
         samples = state.amplitudes / math.sqrt(grid.cell_area)
         body = "".join(",".join(format_float(v) for v in row) + "\n" for row in samples)
         assert path.read_text(encoding="utf-8").split("\n", 1)[1] == body
+
+    @pytest.mark.parametrize("bounds, header", [
+        ((-1.5, 1.5, 0.25, 2.25),
+         '{"n1": 3, "n2": 2, "lo1": -1.5, "hi1": 1.5, "lo2": 0.25, "hi2": 2.25}'),
+        ((-1, 2, 0, 2), '{"n1": 3, "n2": 2, "lo1": -1, "hi1": 2, "lo2": 0, "hi2": 2}'),
+    ])
+    def test_writer_bytes(self, tmp_path, bounds, header):
+        # Unit cells, so the body is the amplitudes themselves.
+        grid = GridSpec(3, 2, *bounds)
+        amp = np.array([[0.5, -0.5], [0.1, 5e-324], [-0.0, 0.7]])
+        path = tmp_path / "state.csv"
+        write_state_file(path, DiscretizedState(grid=grid, amplitudes=amp))
+        assert path.read_bytes() == (header + "\n0.5,-0.5\n"
+                                     "0.10000000000000001,4.9406564584124654e-324\n"
+                                     "-0,0.69999999999999996\n").encode()
 
     @pytest.mark.parametrize("separator", [
         "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",

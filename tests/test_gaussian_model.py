@@ -338,6 +338,11 @@ class TestSchmidtModes:
             expected = -f2_pos if k % 2 else f2_pos
             np.testing.assert_allclose(f2_neg, expected, rtol=0.0, atol=1e-15)
 
+    @pytest.mark.parametrize("axis", [0, 3, -1, 1.5])
+    def test_mode_walk_rejects_an_axis_other_than_1_or_2(self, axis):
+        with pytest.raises(DomainError, match="axis must be 1 or 2"):
+            next(gm.analytic_modes(GaussianParams(rho=-0.6), axis, 0.5))
+
 
 class TestSynthesis:
     def _check(self, params, tol, seed):
