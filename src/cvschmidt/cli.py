@@ -33,28 +33,17 @@ from .util import format_float
 MAX_SWEEP_POINTS = 100_000
 
 
-def _cell(value):
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    return str(value)
-
-
 def _render(columns: list, rows: list, output_format: str) -> str:
     if output_format == "json":
         payload = {
             "columns": [str(c) for c in columns],
-            "rows": [[_cell(v) for v in row] for row in rows],
+            "rows": rows,
         }
         return json.dumps(payload, indent=2) + "\n"
     lines = [",".join(str(c) for c in columns)]
     for row in rows:
-        parts = []
-        for value in row:
-            value = _cell(value)
-            parts.append(format_float(value) if isinstance(value, float) else str(value))
-        lines.append(",".join(parts))
+        lines.append(",".join(format_float(value) if isinstance(value, float) else str(value)
+                              for value in row))
     return "\n".join(lines) + "\n"
 
 
@@ -360,8 +349,6 @@ def main(argv=None) -> int:
     """Dispatch, mapping exceptions to exit codes (1 input, 2 numerical)."""
     try:
         cli.main(args=argv, standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return int(exc.exit_code)
     except click.ClickException as exc:
         exc.show()
         return 1

@@ -114,7 +114,7 @@ class DiscretizedState:
     grid : GridSpec
     amplitudes : ndarray, shape (n1, n2)
         Midpoint samples scaled by sqrt(cell area), with unit Frobenius norm
-        (checked on construction).
+        (checked on construction); a read-only view of the array passed in.
     raw_norm : float or None
         Frobenius norm before the exact rescale; close to 1 when the grid
         box captures nearly all probability mass.
@@ -125,19 +125,17 @@ class DiscretizedState:
     raw_norm: float | None = None
 
     def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=float)
+        # A read-only view, not a copy: the checked norm cannot be broken by
+        # writing through the state, and the caller's array stays writable.
+        amp = np.asarray(self.amplitudes, dtype=float).view()
+        amp.flags.writeable = False
         object.__setattr__(self, "amplitudes", amp)
         if amp.shape != (self.grid.n1, self.grid.n2):
             raise DomainError(
                 f"amplitude shape {amp.shape} does not match grid "
                 f"({self.grid.n1}, {self.grid.n2})"
             )
-        sums = []
-        with np.errstate(over="ignore"):
-            for rows, squares in _row_blocks(amp):
-                np.multiply(amp[rows], amp[rows], out=squares)
-                sums.append(np.sum(squares))
-            total = float(np.sum(sums))
+        total = _sum_of_squares(amp)
         # A non-finite sum has a non-finite amplitude or squares that overflow.
         if not math.isfinite(total) and not np.all(np.isfinite(amp)):
             raise DomainError("amplitudes must be finite")
@@ -203,19 +201,18 @@ def sample_state(f, grid: GridSpec) -> DiscretizedState:
     Frobenius norm.  The output is invariant under scaling f by any positive
     constant.
     """
-    values = _evaluate_on_grid(f, grid)
-    if not np.all(np.isfinite(values)):
-        raise DomainError("amplitude function must be finite on the grid")
     return _normalized_state(
-        grid, values, "amplitude function is zero everywhere on the grid; cannot normalize"
+        grid, _evaluate_on_grid(f, grid),
+        "amplitude function is zero everywhere on the grid; cannot normalize"
     )
 
 
 def _normalized_state(grid: GridSpec, values: np.ndarray, zero_message: str) -> DiscretizedState:
-    """Scale finite midpoint values by sqrt(cell area) and rescale to unit norm.
+    """Scale midpoint values by sqrt(cell area) and rescale to unit norm.
 
     `values` may belong to the caller (an amplitude function's result), so
-    only the arrays made here are rescaled in place.
+    only the arrays made here are rescaled in place.  Non-finite values are
+    looked for only when the norm is not a positive finite number.
     """
     with np.errstate(over="ignore", under="ignore"):
         scaled = values * math.sqrt(grid.cell_area)
@@ -223,6 +220,8 @@ def _normalized_state(grid: GridSpec, values: np.ndarray, zero_message: str) -> 
     if 0.0 < raw_norm < math.inf:
         scaled /= raw_norm
         return DiscretizedState(grid=grid, amplitudes=scaled, raw_norm=raw_norm)
+    if not np.all(np.isfinite(values)):
+        raise DomainError("amplitude function must be finite on the grid")
     peak = float(np.max(np.abs(values)))
     if peak == 0.0:
         raise DomainError(zero_message)
@@ -245,6 +244,16 @@ def _row_blocks(a: np.ndarray):
     for start in range(0, n1, size):
         rows = slice(start, min(start + size, n1))
         yield rows, buffer[:rows.stop - start]
+
+
+def _sum_of_squares(a: np.ndarray) -> float:
+    """Row-blocked pairwise sum of the squares of `a`; inf when they overflow."""
+    sums = []
+    with np.errstate(over="ignore"):
+        for rows, squares in _row_blocks(a):
+            np.multiply(a[rows], a[rows], out=squares)
+            sums.append(np.sum(squares))
+        return float(np.sum(sums))
 
 
 def _validate_joint(p_joint) -> np.ndarray:
@@ -391,8 +400,7 @@ def _parse_row(text: str, n2: int, line_no: int) -> list[float]:
     else:
         if all(map(math.isfinite, row)):
             return row
-    # A bad row: the token loop finds the first offending field.
-    row = []
+    # A bad row: the token loop raises at the first offending field.
     for j, token in enumerate(fields):
         try:
             value = float(token)
@@ -404,8 +412,6 @@ def _parse_row(text: str, n2: int, line_no: int) -> list[float]:
             raise StateFileError(
                 f"non-finite amplitude {token.strip()!r}", line=line_no, column=j + 1
             )
-        row.append(value)
-    return row
 
 
 def read_state_file(path) -> DiscretizedState:

@@ -286,8 +286,6 @@ def synthesize_wavefunction(params: GaussianParams, x1, x2):
             break
         total = total + sqrt_lam * mode1 * mode2
         sqrt_lam *= sqrt_q
-        if sqrt_lam == 0.0:
-            break
     if total.ndim == 0:
         return float(total)
     return total

@@ -7,18 +7,21 @@ columns are the left/right singular vectors.
 `decompose` takes one of three routes, chosen from the grid size and from
 how fast the spectrum decays:
 
-- Grids with min(n1, n2) < 256 run the dense SVD.
+- Grids where one 64-column sketch block exceeds min(n1, n2) // 4 (fewer
+  than 256 cells on an axis) run the dense SVD.
 - Larger grids are first factored by a blocked randomized range finder
   (Halko, Martinsson & Tropp, SIAM Rev. 53:217, 2011; the fixed-precision
   blocked form of Yu, Gu & Li, SIAM J. Matrix Anal. Appl. 39:1339, 2018).
   It grows an orthonormal basis Q of axis-1 vectors, 64 columns of a fixed
   pseudo-random sketch at a time, and stops once the residual
-  ||A - Q Q^T A||_F^2, computed directly, is at most 1e-14.  The state has
-  unit norm, so that residual is exactly the Schmidt weight the truncation
-  drops; it is reported as `discarded_weight`.  One SVD of the small
-  Q^T A then gives the kept weights and modes.  By interlacing, in exact
-  arithmetic every kept weight lies within `discarded_weight` below the
-  dense one, far inside every tolerance downstream.
+  ||A - Q Q^T A||_F^2, computed directly, is at most 1e-14.  Until then the
+  leftover is tracked as the state's own row-blocked squared norm minus
+  the squares of each block of Q^T A.  The state has unit norm, so that
+  residual is exactly the Schmidt weight the truncation drops; it is
+  reported as `discarded_weight`.  One SVD of the small Q^T A then gives
+  the kept weights and modes.  By interlacing, in exact arithmetic every
+  kept weight lies within `discarded_weight` below the dense one, far
+  inside every tolerance downstream.
 - When the leftover weight decays so slowly per block that more than
   min(n1, n2) // 4 columns would be needed, the sketch gives up and the
   weights are the eigenvalues of the smaller Gram matrix (A^T A or A A^T),
@@ -47,16 +50,16 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .discretize import DiscretizedState, GridSpec
+from .discretize import DiscretizedState, GridSpec, _sum_of_squares
 from .errors import DomainError, NumericalError
 from .util import log_divisor, validate_weights
 
 # Randomized factorization: sketch columns per block, the certified
-# discarded weight, the smallest min(n1, n2) worth sketching, and the share
-# 1 / _CAP_DIVISOR of min(n1, n2) beyond which the sketch gives up.
+# discarded weight, and the share 1 / _CAP_DIVISOR of min(n1, n2) beyond
+# which the sketch gives up (a grid whose share is below one block is not
+# sketched at all).
 _BLOCK = 64
 _TAIL = 1e-14
-_SKETCH_MIN_DIM = 256
 _CAP_DIVISOR = 4
 
 
@@ -71,8 +74,10 @@ class SchmidtSpectrum:
         Column k samples the axis-1 mode of weight k at grid midpoints;
         columns are orthonormal in the discrete inner product.  On the Gram
         route the first read of `modes1` or `modes2` runs the dense SVD of
-        the state's amplitude matrix and keeps its factors; the spectrum
-        holds that matrix by reference, so modify it only after a mode read.
+        the state's amplitude matrix and keeps its factors.  The spectrum
+        holds that matrix by reference; it is read-only through the state,
+        but a state built from a caller's array shares that array, so the
+        caller must not write to it before a mode read.
     modes2 : ndarray, shape (n2, r)
         Likewise for axis 2.
     grid : GridSpec
@@ -124,7 +129,7 @@ def decompose(state: DiscretizedState) -> SchmidtSpectrum:
     """
     a = state.amplitudes
     with _numerical_errors():
-        if min(a.shape) < _SKETCH_MIN_DIM:
+        if _BLOCK > min(a.shape) // _CAP_DIVISOR:
             factors, discarded = _dense(a), 0.0
         else:
             found = _sketch(a)
@@ -195,7 +200,7 @@ def _sketch(a: np.ndarray):
     cap = min(n1, n2) // _CAP_DIVISOR
     q = np.empty((n1, 0))
     b = np.empty((0, n2))
-    leftover = float(np.sum(np.square(a)))
+    leftover = _sum_of_squares(a)
     while True:
         y = a @ _test_matrix(n2, q.shape[1])
         for _ in range(2):

@@ -120,6 +120,11 @@ class TestTable1:
         assert code == 1
         assert "grids" in err
 
+    def test_grid_list_without_sizes_is_an_input_error(self, capsys):
+        code, out, err = run_cli(capsys, "table1", "--grids", ",")
+        assert (code, out) == (1, "")
+        assert "--grids must name at least one grid size" in err
+
     def test_invalid_correlation_is_an_input_error(self, capsys):
         code, _, err = run_cli(capsys, "table1", "--rho", "1.5")
         assert code == 1
@@ -362,6 +367,8 @@ class TestThermo:
          "K = coth(beta/2) overflows for beta = 1e-310"),
         (["--points", str(cli_module.MAX_SWEEP_POINTS + 1)],
          "points = 100001 exceeds the budget of 100000"),
+        (["--points", "0"], "points must be >= 1, got 0"),
+        (["--points", "-3"], "points must be >= 1, got -3"),
     ])
     def test_sweep_outside_the_float_range_or_budget_fails(self, capsys, argv, message):
         # The suite turns any leaked warning into a failure, and the one
@@ -396,6 +403,22 @@ class TestSimulate:
                                "--trials", "1000", "--seed", "3")
         assert code == 0
         assert json.loads(out)["p_theory"] == pytest.approx(0.5, abs=1e-6)
+
+    def test_empty_weights_file_fails(self, capsys, tmp_path):
+        path = tmp_path / "weights.txt"
+        path.write_text("\n  \n")
+        code, out, err = run_cli(capsys, "simulate", "--weights-file", str(path))
+        assert (code, out, err) == (1, "", f"error: no weights found in {path}\n")
+
+    @pytest.mark.parametrize("second", ["0.500002", "0.499998"])
+    def test_weights_outside_the_renormalization_tolerance_fail(self, capsys, tmp_path,
+                                                                 second):
+        path = tmp_path / "weights.txt"
+        path.write_text(f"0.5\n{second}\n")
+        code, out, err = run_cli(capsys, "simulate", "--weights-file", str(path))
+        total = 0.5 + float(second)
+        assert (code, out, err) == (1, "", f"error: weights sum to {total!r}; "
+                                           "expected 1 within 1e-6\n")
 
     def test_bad_weights_file_fails_with_line_number(self, capsys, tmp_path):
         path = tmp_path / "weights.txt"

@@ -226,6 +226,17 @@ class TestSampleState:
             with pytest.raises(DomainError):
                 sample_state(lambda x1, x2: 1.0 / (x1 - x1), grid)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("peak", [1.0, 1e200])
+    def test_nonfinite_value_is_reported_without_a_warning(self, bad, peak):
+        # No errstate here: the suite turns any floating-point warning into a
+        # failure, so the non-finite value must reach the message silently.
+        grid = GridSpec(n1=2, n2=2, lo1=0.0, hi1=1.0, lo2=0.0, hi2=1.0)
+        values = np.array([[peak, 0.5], [0.5, bad]])
+        with pytest.raises(DomainError,
+                           match="^amplitude function must be finite on the grid$"):
+            sample_state(lambda x1, x2: values, grid)
+
     @pytest.mark.parametrize("factor", [1.0, 1e-170, 1e200])
     def test_matches_the_out_of_place_normalization(self, reference_params, factor):
         # 1e-170 and 1e200 take the peak-rescale fallback.
@@ -479,6 +490,13 @@ class TestStateFiles:
         assert excinfo.value.line == 1
         assert excinfo.value.column is not None
 
+    def test_header_that_is_not_an_object_fails_at_line_one(self, tmp_path):
+        path = tmp_path / "state.csv"
+        path.write_text("[1, 2]\n0.5,0.5\n0.5,0.5\n")
+        with pytest.raises(StateFileError, match="JSON header must be an object") as excinfo:
+            read_state_file(path)
+        assert excinfo.value.line == 1
+
     def test_missing_header_field_rejected(self, tmp_path):
         path = tmp_path / "state.csv"
         path.write_text('{"n1": 2, "n2": 2, "lo1": 0.0, "hi1": 1.0, "lo2": 0.0}\n')
@@ -720,6 +738,21 @@ class TestDiscretizedState:
         grid = GridSpec(n1=2, n2=2, lo1=0.0, hi1=1.0, lo2=0.0, hi2=1.0)
         with pytest.raises(DomainError, match="squared norm inf"):
             DiscretizedState(grid=grid, amplitudes=np.array([[0.5, 1e200], [0.5, 0.5]]))
+
+    def test_amplitudes_are_a_read_only_view_of_the_callers_array(self):
+        grid = GridSpec(n1=2, n2=2, lo1=0.0, hi1=1.0, lo2=0.0, hi2=1.0)
+        caller = np.full((2, 2), 0.5)
+        state = DiscretizedState(grid=grid, amplitudes=caller)
+        with pytest.raises(ValueError, match="read-only"):
+            state.amplitudes *= 2.0
+        assert np.shares_memory(state.amplitudes, caller)
+        caller[0, 0] = 0.25
+        assert state.amplitudes[0, 0] == 0.25
+
+    def test_sampled_amplitudes_are_read_only(self, reference_params):
+        state = gaussian_state(reference_params, 20)
+        with pytest.raises(ValueError, match="read-only"):
+            state.amplitudes[0, 0] = 0.0
 
     def test_shape_must_match_grid(self):
         grid = GridSpec(n1=2, n2=3, lo1=0.0, hi1=1.0, lo2=0.0, hi2=1.0)

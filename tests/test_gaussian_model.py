@@ -323,6 +323,11 @@ class TestSchmidtModes:
         values = hermite_function(511, np.array([0.0, 5.0, 30.0]))
         assert np.all(np.isfinite(values))
 
+    @pytest.mark.parametrize("sigma", [0.0, -1.0])
+    def test_mode_width_must_be_positive(self, sigma):
+        with pytest.raises(DomainError, match="sigma must be positive"):
+            analytic_mode(0, 0.0, sigma, 2.0, 0.0)
+
     def test_mode_order_must_be_nonnegative(self):
         with pytest.raises(DomainError):
             analytic_mode(-1, 0.0, 1.0, 2.0, 0.0)
@@ -361,6 +366,11 @@ class TestSynthesis:
     def test_reproduces_anticorrelated_wavefunction(self):
         self._check(GaussianParams(m1=0.5, m2=2.0, sigma1=1.5, sigma2=0.7,
                                    rho=-0.85), 1e-8, seed=29)
+
+    def test_scalar_input_gives_a_python_float(self, reference_params):
+        value = synthesize_wavefunction(reference_params, 1.5, -0.5)
+        assert type(value) is float
+        assert value == pytest.approx(wavefunction(reference_params, 1.5, -0.5), abs=1e-13)
 
     def test_uncorrelated_state_is_a_single_product_term(self):
         params = GaussianParams(m1=1.0, m2=-2.0, sigma1=2.0, sigma2=0.5)

@@ -43,6 +43,11 @@ class TestCoincidenceProbability:
 
 
 class TestSchmidtInformation:
+    @pytest.mark.parametrize("base", [10, "10", 2.5, "E", None])
+    def test_base_other_than_2_or_e_rejected(self, base):
+        with pytest.raises(DomainError, match="log base must be 2 or 'e'"):
+            schmidt_information(2.0, 1, base)
+
     def test_two_level_state_carries_one_bit(self):
         assert schmidt_information(2.0, 1, 2) == 1.0
 

@@ -220,6 +220,17 @@ class TestCertificate:
                      (again.modes2, spectrum.modes2)):
             assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("offset", [5e-13, -5e-13])
+    def test_leftover_starts_from_the_states_own_norm(self, reference_params, offset):
+        # A squared norm of 1 - 5e-13 passes the state's 1e-12 check; a
+        # leftover tracked from 1.0 would stall near 5e-13 and give up.
+        state = gaussian_state(reference_params, 400, span=8.0)
+        shifted = DiscretizedState(grid=state.grid,
+                                   amplitudes=state.amplitudes * math.sqrt(1.0 + offset))
+        spectrum = decompose(shifted)
+        assert spectrum.rank == 64
+        assert 0.0 < spectrum.discarded_weight <= 1e-14
+
     def test_full_rank_state_falls_back_after_one_block(self, monkeypatch):
         noise = np.random.default_rng(17).standard_normal((300, 300))
         blocks = []
