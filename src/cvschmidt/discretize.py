@@ -123,6 +123,9 @@ class DiscretizedState:
     grid: GridSpec
     amplitudes: np.ndarray
     raw_norm: float | None = None
+    # The row-blocked sum of squares checked on construction, kept so that
+    # the decomposition does not sum the read-only amplitudes again.
+    _squared_norm: float = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
         # A read-only view, not a copy: the checked norm cannot be broken by
@@ -141,6 +144,7 @@ class DiscretizedState:
             raise DomainError("amplitudes must be finite")
         if abs(total - 1.0) > _NORM_TOL:
             raise DomainError(f"normalized state has squared norm {total!r}, not 1")
+        object.__setattr__(self, "_squared_norm", total)
 
     def probabilities(self) -> np.ndarray:
         """Joint probability matrix amplitudes**2."""

@@ -24,17 +24,29 @@ how fast the spectrum decays:
   inside every tolerance downstream.
 - When the leftover weight decays so slowly per block that more than
   min(n1, n2) // 4 columns would be needed, the sketch gives up and the
-  weights are the eigenvalues of the smaller Gram matrix (A^T A or A A^T),
-  in non-increasing order with negative rounding dust set to 0.  Nothing
-  is discarded.  Forming the Gram matrix squares the condition number, so
-  each weight is accurate only to about min(n1, n2) * eps * lambda_0
-  absolute (Golub & Van Loan, Matrix Computations, section 8.6); against
-  the dense SVD the gap measured at most 3e-16 (n = 1000, rho 0.9 to
-  0.9995), so weights below ~1e-16 are rounding noise.  On this route the
-  modes are not computed until one is first read; that read runs the
-  dense SVD once and keeps its factors.  Past min(n1, n2) // 4 sketch
-  columns the Gram eigenvalues are the cheaper route (at n = 1000 on
-  2 CPUs, ~95 ms against ~120 ms for 192 columns and ~205 ms for 320).
+  weights are Gram eigenvalues, in non-increasing order with negative
+  rounding dust set to 0.  Forming a Gram matrix squares the condition
+  number, so each weight is accurate only to about
+  min(n1, n2) * eps * lambda_0 absolute (Golub & Van Loan, Matrix
+  Computations, section 8.6).  The Gram matrix is that of a window W of
+  the state: one row-blocked pass sums the squares of each row and
+  column, and leading and trailing rows and columns are cut, the smallest
+  mass first, while the cut masses total at most eps times the state's
+  squared norm.  W is a submatrix, so by Cauchy interlacing each weight
+  drops by at most the cut mass, and the drops sum to it; a unit-norm
+  state has lambda_0 >= 1 / min(n1, n2), so that is inside the accuracy
+  above.  The eigenvalues of the smaller of W^T W and W W^T are padded
+  with exact zeros to min(n1, n2), so the weights past the window are 0.
+  Against the dense SVD the gap measured at most 4e-16 (33 states,
+  n = 400 and 1000, rho 0.99 to 0.9999, spans 6 to 10), so weights below
+  ~1e-16 are rounding noise.  On this route the modes are not computed
+  until one is first read; that read runs the dense SVD of the whole
+  state once and keeps its factors.  Nothing is left out of the modes or
+  of `reconstruct`, so `discarded_weight` is 0.0.  Past min(n1, n2) // 4
+  sketch columns the Gram eigenvalues are the cheaper route: at n = 1000
+  on 2 CPUs they take 55-75 ms for rho 0.998 to 0.9995 at span 10, where
+  the window is about 830 x 830, against ~120 ms for 192 sketch columns
+  and ~205 ms for 320.
 
 Sign fixing: each weight's mode pair is flipped jointly so that the
 axis-1 column's largest-magnitude entry is positive.  A joint flip leaves
@@ -50,7 +62,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .discretize import DiscretizedState, GridSpec, _sum_of_squares
+from .discretize import DiscretizedState, GridSpec, _row_blocks
 from .errors import DomainError, NumericalError
 from .util import log_divisor, validate_weights
 
@@ -128,13 +140,14 @@ def decompose(state: DiscretizedState) -> SchmidtSpectrum:
     weights are discarded and when the modes are deferred.
     """
     a = state.amplitudes
+    total = state._squared_norm
     with _numerical_errors():
         if _BLOCK > min(a.shape) // _CAP_DIVISOR:
             factors, discarded = _dense(a), 0.0
         else:
-            found = _sketch(a)
+            found = _sketch(a, total)
             if found is None:
-                return SchmidtSpectrum(_gram_weights(a), state.grid, amplitudes=a)
+                return SchmidtSpectrum(_gram_weights(a, total), state.grid, amplitudes=a)
             factors, discarded = found
     s = factors[1]
     return SchmidtSpectrum(s * s, state.grid, discarded, factors=factors)
@@ -163,10 +176,52 @@ def _sign_fixed(u: np.ndarray, s: np.ndarray, vt: np.ndarray):
     return u, s, v
 
 
-def _gram_weights(a: np.ndarray) -> np.ndarray:
-    """Squared singular values of `a`, non-increasing, from its smaller Gram matrix."""
-    gram = a.T @ a if a.shape[1] <= a.shape[0] else a @ a.T
-    return np.maximum(np.linalg.eigvalsh(gram)[::-1], 0.0)
+def _gram_weights(a: np.ndarray, total: float) -> np.ndarray:
+    """Squared singular values of `a`, non-increasing, from the smaller Gram
+    matrix of its edge-trimmed window and padded with zeros to min(n1, n2).
+
+    `total` is the squared norm of `a` that its state checked.
+    """
+    window = a[_window(a, total)]
+    gram = window.T @ window if window.shape[1] <= window.shape[0] else window @ window.T
+    weights = np.zeros(min(a.shape))
+    weights[:gram.shape[0]] = np.maximum(np.linalg.eigvalsh(gram)[::-1], 0.0)
+    return weights
+
+
+def _window(a: np.ndarray, total: float):
+    """Row and column slices of `a` left once leading and trailing rows and
+    columns are cut, smallest mass first, while the cut masses sum to at
+    most eps * total.
+
+    The row and column masses come from one row-blocked pass, with no BLAS
+    call, so the window is the same at any thread count.  The cut rows and
+    columns share their corner cells, so the mass outside the window is at
+    most the sum of the cut masses.  The cut never reaches the last row or
+    column: they hold all but about eps of `total`.
+    """
+    n1, n2 = a.shape
+    rows = np.empty(n1)
+    block_cols = []
+    for block, squares in _row_blocks(a):
+        np.multiply(a[block], a[block], out=squares)
+        np.sum(squares, axis=1, out=rows[block])
+        block_cols.append(np.sum(squares, axis=0))
+    cols = np.sum(block_cols, axis=0)
+    # Edges in the order top, bottom, left, right, each read from the outside in.
+    edges = (rows.tolist(), rows[::-1].tolist(), cols.tolist(), cols[::-1].tolist())
+    cuts = [0, 0, 0, 0]
+    heads = [masses[0] for masses in edges]
+    budget = np.finfo(float).eps * total
+    spent = 0.0
+    while True:
+        mass = min(heads)
+        if spent + mass > budget:
+            return slice(cuts[0], n1 - cuts[1]), slice(cuts[2], n2 - cuts[3])
+        edge = heads.index(mass)
+        spent += mass
+        cuts[edge] += 1
+        heads[edge] = edges[edge][cuts[edge]]
 
 
 def _test_matrix(rows: int, start: int) -> np.ndarray:
@@ -188,19 +243,19 @@ def _test_matrix(rows: int, start: int) -> np.ndarray:
     return ((z >> np.uint64(11)).astype(float) * 2.0 ** -52 - 1.0).reshape(rows, _BLOCK)
 
 
-def _sketch(a: np.ndarray):
+def _sketch(a: np.ndarray, total: float):
     """Randomized factorization certified to leave out at most _TAIL, or None.
 
-    Returns the sign-fixed factors (u, s, v) and the discarded weight.
-    Returns None, holding nothing, once the per-block decay of the leftover
-    weight predicts that more than min(n1, n2) // _CAP_DIVISOR columns are
-    needed.
+    `total` is the squared norm of `a` that its state checked.  Returns the
+    sign-fixed factors (u, s, v) and the discarded weight.  Returns None,
+    holding nothing, once the per-block decay of the leftover weight
+    predicts that more than min(n1, n2) // _CAP_DIVISOR columns are needed.
     """
     n1, n2 = a.shape
     cap = min(n1, n2) // _CAP_DIVISOR
     q = np.empty((n1, 0))
     b = np.empty((0, n2))
-    leftover = _sum_of_squares(a)
+    leftover = total
     while True:
         y = a @ _test_matrix(n2, q.shape[1])
         for _ in range(2):
@@ -263,10 +318,10 @@ def reconstruct(spectrum: SchmidtSpectrum, rank: int) -> np.ndarray:
 
     s_k are the singular values of the factorization that gave the modes,
     so s_k**2 = lambda_k except on the Gram route, where the weights come
-    from the Gram eigenvalues and differ by rounding: the square root of a
-    ~1e-17 eigenvalue would not pair with its singular vectors.  The result
-    is not renormalized: its Frobenius distance to the original amplitude
-    matrix is the truncated tail, squared residual =
+    from the Gram eigenvalues of a window and differ by rounding: the
+    square root of a ~1e-17 eigenvalue would not pair with its singular
+    vectors.  The result is not renormalized: its Frobenius distance to the
+    original amplitude matrix is the truncated tail, squared residual =
     sum_{k>=rank} lambda_k + discarded_weight.
     """
     if not 1 <= rank <= spectrum.rank:

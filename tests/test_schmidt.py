@@ -25,6 +25,8 @@ from cvschmidt import (
     schmidt_number_from_rho,
     wavefunction,
 )
+from cvschmidt import discretize
+from cvschmidt import schmidt as schmidt_module
 
 REFERENCE_K = 2.29415733870562
 
@@ -246,6 +248,28 @@ class TestCertificate:
         assert spectrum.discarded_weight == 0.0
         assert len(blocks) == 1
 
+    def test_one_sum_of_squares_per_sketched_decompose(self, reference_params, monkeypatch):
+        calls = []
+        sum_of_squares = discretize._sum_of_squares
+
+        def counting(a):
+            calls.append(a.shape)
+            return sum_of_squares(a)
+
+        monkeypatch.setattr(discretize, "_sum_of_squares", counting)
+        monkeypatch.setattr(schmidt_module, "_sum_of_squares", counting, raising=False)
+        state = gaussian_state(reference_params, 400, span=8.0)
+        spectrum = decompose(state)
+        assert calls == [(400, 400)]
+        assert spectrum.rank < 400
+        # The sketch fed a squared norm summed again from the amplitudes.
+        (u, s, v), discarded = schmidt_module._sketch(state.amplitudes,
+                                                       sum_of_squares(state.amplitudes))
+        assert spectrum.weights.tobytes() == (s * s).tobytes()
+        assert spectrum.modes1.tobytes() == u.tobytes()
+        assert spectrum.modes2.tobytes() == v.tobytes()
+        assert spectrum.discarded_weight == discarded
+
 
 class TestDeferredModes:
     """On the Gram route the weights cost no SVD and the modes cost one, on first read."""
@@ -321,6 +345,99 @@ class TestDeferredModes:
         for a, b in ((first.weights, again.weights), (first.modes1, again.modes1),
                      (first.modes2, again.modes2)):
             assert a.tobytes() == b.tobytes()
+
+
+def window_of(state):
+    return schmidt_module._window(state.amplitudes, state._squared_norm)
+
+
+def removed_mass(a, window):
+    """Squared norm of the cells of `a` outside `window`, summed directly."""
+    outside = np.ones(a.shape, dtype=bool)
+    outside[window] = False
+    return math.fsum(a[outside] ** 2)
+
+
+class TestGramWindow:
+    """The Gram route takes its eigenvalues from the window left after cutting
+    edge rows and columns that hold at most eps of the squared norm."""
+
+    EPS = float(np.finfo(float).eps)
+
+    @pytest.fixture
+    def eigvalsh_shapes(self, monkeypatch):
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        return shapes
+
+    @pytest.fixture(scope="class")
+    def gaussian(self):
+        params = GaussianParams(m1=1.0, m2=-1.0, sigma1=2.0, sigma2=1.0, rho=0.9995)
+        state = gaussian_state(params, 1000, span=10.0)
+        dense = np.linalg.svd(state.amplitudes, compute_uv=False) ** 2
+        return state, decompose(state), dense
+
+    def test_full_support_window_is_the_whole_matrix(self):
+        noise = np.random.default_rng(29).standard_normal((300, 300))
+        state = unit_square_state(noise / np.linalg.norm(noise))
+        a = state.amplitudes
+        assert window_of(state) == (slice(0, 300), slice(0, 300))
+        spectrum = decompose(state)
+        expected = np.maximum(np.linalg.eigvalsh(a.T @ a)[::-1], 0.0)
+        assert spectrum.weights.tobytes() == expected.tobytes()
+
+    def test_gaussian_window_drops_at_most_eps(self, gaussian):
+        state, spectrum, dense = gaussian
+        a = state.amplitudes
+        rows, cols = window_of(state)
+        assert rows.stop - rows.start < 1000 and cols.stop - cols.start < 1000
+        assert removed_mass(a, (rows, cols)) <= self.EPS
+        kept = min(rows.stop - rows.start, cols.stop - cols.start)
+        assert np.all(spectrum.weights[kept:] == 0.0)
+        assert spectrum.rank == 1000 and spectrum.discarded_weight == 0.0
+        assert float(np.max(np.abs(spectrum.weights - dense))) <= 1e-14
+
+    def test_mean_near_a_corner_cuts_the_far_edges(self, eigvalsh_shapes):
+        # The box runs from 2 sigma below the mean to 18 above it on each
+        # axis, so only the far rows and columns hold less than eps.
+        params = GaussianParams(m1=0.0, m2=0.0, sigma1=1.0, sigma2=1.0, rho=0.9995)
+        grid = GridSpec(n1=300, n2=300, lo1=-2.0, hi1=18.0, lo2=-2.0, hi2=18.0)
+        state = sample_state(lambda x1, x2: wavefunction(params, x1, x2), grid)
+        a = state.amplitudes
+        rows, cols = window_of(state)
+        assert rows.start == 0 and cols.start == 0
+        assert rows.stop < 300 and cols.stop < 300
+        assert removed_mass(a, (rows, cols)) <= self.EPS
+        spectrum = decompose(state)
+        assert spectrum.rank == 300 and spectrum.discarded_weight == 0.0
+        kept = min(rows.stop, cols.stop)
+        assert eigvalsh_shapes == [(kept, kept)]
+        assert np.all(spectrum.weights[kept:] == 0.0)
+        dense = np.linalg.svd(a, compute_uv=False) ** 2
+        assert float(np.max(np.abs(spectrum.weights - dense))) <= 1e-14
+
+    def test_rectangular_window_uses_its_smaller_gram(self, eigvalsh_shapes):
+        # A box of 10 sigma on each side of the mean, on 256 x 300 cells.
+        params = GaussianParams(m1=1.0, m2=-1.0, sigma1=2.0, sigma2=1.0, rho=0.9995)
+        grid = GridSpec(n1=256, n2=300, lo1=-19.0, hi1=21.0, lo2=-11.0, hi2=9.0)
+        state = sample_state(lambda x1, x2: wavefunction(params, x1, x2), grid)
+        a = state.amplitudes
+        rows, cols = window_of(state)
+        m1, m2 = rows.stop - rows.start, cols.stop - cols.start
+        assert m1 < 256 and m2 < 300
+        assert removed_mass(a, (rows, cols)) <= self.EPS
+        spectrum = decompose(state)
+        assert spectrum.rank == 256 and spectrum.discarded_weight == 0.0
+        assert eigvalsh_shapes == [(min(m1, m2), min(m1, m2))]
+        assert np.all(spectrum.weights[min(m1, m2):] == 0.0)
+        dense = np.linalg.svd(a, compute_uv=False) ** 2
+        assert float(np.max(np.abs(spectrum.weights - dense))) <= 1e-14
 
 
 class TestSchmidtNumber:
