@@ -216,11 +216,13 @@ def _normalized_state(grid: GridSpec, values: np.ndarray, zero_message: str) -> 
 
     `values` may belong to the caller (an amplitude function's result), so
     only the arrays made here are rescaled in place.  Non-finite values are
-    looked for only when the norm is not a positive finite number.
+    looked for only when the norm is not a positive finite number.  The
+    norms are row-blocked sums with no BLAS call, so the state has the same
+    bits at any BLAS thread count.
     """
     with np.errstate(over="ignore", under="ignore"):
         scaled = values * math.sqrt(grid.cell_area)
-        raw_norm = float(np.linalg.norm(scaled))
+        raw_norm = math.sqrt(_sum_of_squares(scaled))
     if 0.0 < raw_norm < math.inf:
         scaled /= raw_norm
         return DiscretizedState(grid=grid, amplitudes=scaled, raw_norm=raw_norm)
@@ -232,7 +234,7 @@ def _normalized_state(grid: GridSpec, values: np.ndarray, zero_message: str) -> 
     # The squared norm left the float range; the normalized state is
     # scale-invariant, so normalize the peak-scaled values instead.
     unit = values / peak
-    unit_norm = float(np.linalg.norm(unit))
+    unit_norm = math.sqrt(_sum_of_squares(unit))
     raw_norm = peak * math.sqrt(grid.cell_area) * unit_norm
     unit /= unit_norm
     return DiscretizedState(grid=grid, amplitudes=unit, raw_norm=raw_norm)

@@ -18,10 +18,21 @@ how fast the spectrum decays:
   leftover is tracked as the state's own row-blocked squared norm minus
   the squares of each block of Q^T A.  The state has unit norm, so that
   residual is exactly the Schmidt weight the truncation drops; it is
-  reported as `discarded_weight`.  One SVD of the small Q^T A then gives
-  the kept weights and modes.  By interlacing, in exact arithmetic every
-  kept weight lies within `discarded_weight` below the dense one, far
-  inside every tolerance downstream.
+  reported as `discarded_weight`.  The kept weights are the squared
+  singular values of the small r x n2 block B = Q^T A, taken values-only
+  from the r x r triangle R of the QR factorization B^T = Q_2 R (Chan's
+  R-SVD, ACM Trans. Math. Softw. 8:72, 1982; Halko, Martinsson & Tropp,
+  section 5): B and R^T share their singular values, and at n = 1000 on
+  2 CPUs that takes 4 ms for 64 columns against 13 ms for the SVD of B
+  with vectors.  The modes are not computed until one is first read; that
+  read runs the thin SVD of B, lifts its axis-1 vectors by Q and keeps
+  the factors.  Their singular values, which `reconstruct` uses, differ
+  from the square roots of the weights by rounding: over 92 sketched
+  states (n 256 to 1500, rho -0.95 to 0.9995, spans 8 and 10) the weights
+  and the squared singular values differed by at most 1.9e-15, and the
+  weights and the dense SVD's by at most 1.1e-15.  By interlacing, in
+  exact arithmetic every kept weight lies within `discarded_weight` below
+  the dense one, far inside every tolerance downstream.
 - When the leftover weight decays so slowly per block that more than
   min(n1, n2) // 4 columns would be needed, the sketch gives up and the
   weights are Gram eigenvalues, in non-increasing order with negative
@@ -39,14 +50,15 @@ how fast the spectrum decays:
   with exact zeros to min(n1, n2), so the weights past the window are 0.
   Against the dense SVD the gap measured at most 4e-16 (33 states,
   n = 400 and 1000, rho 0.99 to 0.9999, spans 6 to 10), so weights below
-  ~1e-16 are rounding noise.  On this route the modes are not computed
-  until one is first read; that read runs the dense SVD of the whole
-  state once and keeps its factors.  Nothing is left out of the modes or
-  of `reconstruct`, so `discarded_weight` is 0.0.  Past min(n1, n2) // 4
-  sketch columns the Gram eigenvalues are the cheaper route: at n = 1000
-  on 2 CPUs they take 55-75 ms for rho 0.998 to 0.9995 at span 10, where
-  the window is about 830 x 830, against ~120 ms for 192 sketch columns
-  and ~205 ms for 320.
+  ~1e-16 are rounding noise.  As on the sketch route, the modes are not
+  computed until one is first read; here that read runs the dense SVD of
+  the whole state once and keeps its factors, whose singular values
+  differ from the square roots of the weights by rounding.  Nothing is
+  left out of the modes or of `reconstruct`, so `discarded_weight` is
+  0.0.  Past min(n1, n2) // 4 sketch columns the Gram eigenvalues are the
+  cheaper route: at n = 1000 on 2 CPUs they take 55-75 ms for rho 0.998
+  to 0.9995 at span 10, where the window is about 830 x 830, against
+  ~120 ms for 192 sketch columns and ~205 ms for 320.
 
 Sign fixing: each weight's mode pair is flipped jointly so that the
 axis-1 column's largest-magnitude entry is positive.  A joint flip leaves
@@ -59,6 +71,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 
@@ -84,12 +97,14 @@ class SchmidtSpectrum:
         Non-increasing, nonnegative, summing to 1 for a normalized input.
     modes1 : ndarray, shape (n1, r)
         Column k samples the axis-1 mode of weight k at grid midpoints;
-        columns are orthonormal in the discrete inner product.  On the Gram
-        route the first read of `modes1` or `modes2` runs the dense SVD of
-        the state's amplitude matrix and keeps its factors.  The spectrum
-        holds that matrix by reference; it is read-only through the state,
-        but a state built from a caller's array shares that array, so the
-        caller must not write to it before a mode read.
+        columns are orthonormal in the discrete inner product.  Except on
+        the dense route, the first read of `modes1`, `modes2` or
+        `reconstruct` computes the modes and keeps them: the sketch route
+        runs the SVD of its r x n2 block Q^T A, which it holds with Q, and
+        the Gram route runs the dense SVD of the state's amplitude matrix.
+        The Gram route holds that matrix by reference; it is read-only
+        through the state, but a state built from a caller's array shares
+        that array, so the caller must not write to it before a mode read.
     modes2 : ndarray, shape (n2, r)
         Likewise for axis 2.
     grid : GridSpec
@@ -100,15 +115,14 @@ class SchmidtSpectrum:
         the randomized factorization was used, 0.0 otherwise.
     """
 
-    def __init__(self, weights, grid: GridSpec, discarded_weight: float = 0.0, *,
-                 factors=None, amplitudes=None):
-        # `factors` is the sign-fixed (u, s, v) of the modes; without it,
-        # `amplitudes` is factored when a mode is first read.
+    def __init__(self, weights, grid: GridSpec, discarded_weight: float = 0.0, *, factor):
+        # `factor()` returns the sign-fixed (u, s, v) of the modes; it is
+        # called when a mode is first read, and its result is kept.
         self.weights = weights
         self.grid = grid
         self.discarded_weight = discarded_weight
-        self._factors = factors
-        self._amplitudes = amplitudes
+        self._factor = factor
+        self._factors = None
 
     @property
     def modes1(self) -> np.ndarray:
@@ -127,7 +141,7 @@ class SchmidtSpectrum:
         # Two threads reading first may both factor; both store the same bits.
         if self._factors is None:
             with _numerical_errors():
-                self._factors = _dense(self._amplitudes)
+                self._factors = self._factor()
         return self._factors
 
 
@@ -143,14 +157,15 @@ def decompose(state: DiscretizedState) -> SchmidtSpectrum:
     total = state._squared_norm
     with _numerical_errors():
         if _BLOCK > min(a.shape) // _CAP_DIVISOR:
-            factors, discarded = _dense(a), 0.0
-        else:
-            found = _sketch(a, total)
-            if found is None:
-                return SchmidtSpectrum(_gram_weights(a, total), state.grid, amplitudes=a)
-            factors, discarded = found
-    s = factors[1]
-    return SchmidtSpectrum(s * s, state.grid, discarded, factors=factors)
+            factors = _dense(a)
+            s = factors[1]
+            return SchmidtSpectrum(s * s, state.grid, factor=lambda: factors)
+        found = _sketch(a, total)
+        if found is None:
+            return SchmidtSpectrum(_gram_weights(a, total), state.grid,
+                                   factor=partial(_dense, a))
+    weights, factor, discarded = found
+    return SchmidtSpectrum(weights, state.grid, discarded, factor=factor)
 
 
 @contextmanager
@@ -164,6 +179,12 @@ def _numerical_errors():
 def _dense(a: np.ndarray):
     """Sign-fixed thin SVD factors (u, s, v) of `a`."""
     return _sign_fixed(*np.linalg.svd(a, full_matrices=False))
+
+
+def _lifted(q: np.ndarray, b: np.ndarray):
+    """Sign-fixed thin SVD factors (u, s, v) of Q B, for Q with orthonormal columns."""
+    ub, s, vt = np.linalg.svd(b, full_matrices=False)
+    return _sign_fixed(q @ ub, s, vt)
 
 
 def _sign_fixed(u: np.ndarray, s: np.ndarray, vt: np.ndarray):
@@ -247,9 +268,10 @@ def _sketch(a: np.ndarray, total: float):
     """Randomized factorization certified to leave out at most _TAIL, or None.
 
     `total` is the squared norm of `a` that its state checked.  Returns the
-    sign-fixed factors (u, s, v) and the discarded weight.  Returns None,
-    holding nothing, once the per-block decay of the leftover weight
-    predicts that more than min(n1, n2) // _CAP_DIVISOR columns are needed.
+    kept weights, a function that returns the sign-fixed factors (u, s, v)
+    of the modes, and the discarded weight.  Returns None, holding nothing,
+    once the per-block decay of the leftover weight predicts that more than
+    min(n1, n2) // _CAP_DIVISOR columns are needed.
     """
     n1, n2 = a.shape
     cap = min(n1, n2) // _CAP_DIVISOR
@@ -280,8 +302,9 @@ def _sketch(a: np.ndarray, total: float):
         blocks = math.ceil(math.log(_TAIL / leftover) / math.log(decay))
         if q.shape[1] + _BLOCK * blocks > cap:
             return None
-    ub, s, vt = np.linalg.svd(b, full_matrices=False)
-    return _sign_fixed(q @ ub, s, vt), leftover
+    # The singular values of B are those of the triangle of its transpose's QR.
+    s = np.linalg.svd(np.linalg.qr(b.T, mode="r"), compute_uv=False)
+    return s * s, partial(_lifted, q, b), leftover
 
 
 def schmidt_number(weights) -> float:
@@ -317,10 +340,11 @@ def reconstruct(spectrum: SchmidtSpectrum, rank: int) -> np.ndarray:
     """Rank-truncated synthesis sum_{k<rank} s_k u_k x v_k as a matrix.
 
     s_k are the singular values of the factorization that gave the modes,
-    so s_k**2 = lambda_k except on the Gram route, where the weights come
-    from the Gram eigenvalues of a window and differ by rounding: the
-    square root of a ~1e-17 eigenvalue would not pair with its singular
-    vectors.  The result is not renormalized: its Frobenius distance to the
+    so s_k**2 = lambda_k on the dense route.  On the sketch and Gram routes
+    the weights come from a values-only factorization (the R-SVD of the
+    sketch block, or the Gram eigenvalues of a window) and differ by
+    rounding: the square root of a ~1e-17 eigenvalue would not pair with
+    its singular vectors.  The result is not renormalized: its Frobenius distance to the
     original amplitude matrix is the truncated tail, squared residual =
     sum_{k>=rank} lambda_k + discarded_weight.
     """

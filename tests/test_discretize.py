@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +32,7 @@ from cvschmidt import (
     wavefunction,
     write_state_file,
 )
+from cvschmidt import discretize
 from cvschmidt.discretize import MAX_GRID_CELLS
 from cvschmidt.util import format_float
 from oracles import gauss_legendre_cell_joint
@@ -247,7 +252,7 @@ class TestSampleState:
         state = sample_state(lambda x1, x2: returned, grid)
         with np.errstate(over="ignore", under="ignore"):
             scaled = values * math.sqrt(grid.cell_area)
-            raw_norm = float(np.linalg.norm(scaled))
+            raw_norm = math.sqrt(discretize._sum_of_squares(scaled))
         if factor == 1.0:
             assert 0.0 < raw_norm < math.inf
             amplitudes = scaled / raw_norm
@@ -255,7 +260,7 @@ class TestSampleState:
             assert raw_norm in (0.0, math.inf)
             peak = float(np.max(np.abs(values)))
             unit = values / peak
-            unit_norm = float(np.linalg.norm(unit))
+            unit_norm = math.sqrt(discretize._sum_of_squares(unit))
             raw_norm = peak * math.sqrt(grid.cell_area) * unit_norm
             amplitudes = unit / unit_norm
         assert np.array_equal(state.amplitudes, amplitudes)
@@ -768,7 +773,44 @@ class TestDiscretizedState:
         assert abs(math.fsum(state.probabilities().ravel()) - 1.0) <= 1e-12
 
 
+# Run in a child process, since the BLAS thread count is fixed when numpy loads:
+# prints the raw norm of an n = 1000 state, writes its state file to argv[1],
+# then runs `cvschmidt mutual-info --n 1000`.
+_GRID_STAGES = """
+import sys
+from cvschmidt import GaussianParams, build_grid, sample_state, wavefunction, write_state_file
+from cvschmidt.cli import main
+params = GaussianParams(m1=1.0, m2=-1.0, sigma1=2.0, sigma2=1.0, rho=0.9)
+grid = build_grid(params, 1000, span=8.0)
+state = sample_state(lambda x1, x2: wavefunction(params, x1, x2), grid)
+print(state.raw_norm.hex(), flush=True)
+write_state_file(sys.argv[1], state)
+sys.exit(main(["mutual-info", "--n", "1000"]))
+"""
+
+
 class TestGridSizedSums:
+    def test_grid_stages_give_the_same_bytes_at_any_blas_thread_count(self, tmp_path):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        children = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=pythonpath)
+            children[threads] = subprocess.Popen(
+                [sys.executable, "-c", _GRID_STAGES, str(tmp_path / f"state-{threads}.csv")],
+                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        runs = []
+        for threads, child in children.items():
+            out, err = child.communicate(timeout=120)
+            assert (child.returncode, err) == (0, "")
+            runs.append((out, (tmp_path / f"state-{threads}.csv").read_bytes()))
+        (out1, file1), (out2, file2) = runs
+        raw_norm_hex, mutual_info = out1.split("\n", 1)
+        assert raw_norm_hex.startswith("0x1.") and mutual_info.startswith("quantity,value\n")
+        assert out1 == out2
+        assert file1 == file2
+
     def test_exact_summation_only_sees_weight_vectors(self, monkeypatch, reference_params):
         exact_fsum = math.fsum
         sizes = []

@@ -36,6 +36,20 @@ def gaussian_state(params, n, span=6.0):
     return sample_state(lambda x1, x2: wavefunction(params, x1, x2), grid)
 
 
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """The shape and keyword arguments of every np.linalg.svd call."""
+    calls = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        calls.append((a.shape, kwargs))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return calls
+
+
 def unit_square_state(amplitudes):
     amplitudes = np.asarray(amplitudes, dtype=float)
     grid = GridSpec(n1=amplitudes.shape[0], n2=amplitudes.shape[1],
@@ -148,7 +162,7 @@ class TestDecompose:
         cases = [
             # Dense SVD of a small grid.
             (unit_square_state(np.full((2, 2), 0.5)), "svd"),
-            # Sketch QR, and the small SVD after the sketch.
+            # Sketch QR, and the values-only SVD of the block's triangle.
             (gaussian_state(reference_params, 300), "qr"),
             (gaussian_state(reference_params, 300), "svd"),
             # Gram eigenvalues after the sketch gave up.
@@ -159,12 +173,18 @@ class TestDecompose:
                 patch.setattr(np.linalg, name, failing)
                 with pytest.raises(NumericalError):
                     decompose(state)
-        # The dense SVD that the Gram route defers to the first mode read.
-        spectrum = decompose(unit_square_state(noise / np.linalg.norm(noise)))
-        with monkeypatch.context() as patch:
-            patch.setattr(np.linalg, "svd", failing)
-            with pytest.raises(NumericalError):
-                spectrum.modes1
+        # The SVDs that the Gram and sketch routes defer to the first mode
+        # read; a failed read leaves the next one to try again.
+        for state in (unit_square_state(noise / np.linalg.norm(noise)),
+                      gaussian_state(reference_params, 300)):
+            spectrum = decompose(state)
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "svd", failing)
+                with pytest.raises(NumericalError):
+                    spectrum.modes1
+                with pytest.raises(NumericalError):
+                    reconstruct(spectrum, rank=1)
+            assert spectrum.modes1.shape == (300, spectrum.rank)
 
 
 CERTIFIED_CASES = [(n, rho) for n in (300, 1000) for rho in (0.9, 0.998, 0.9995)]
@@ -259,32 +279,74 @@ class TestCertificate:
         monkeypatch.setattr(discretize, "_sum_of_squares", counting)
         monkeypatch.setattr(schmidt_module, "_sum_of_squares", counting, raising=False)
         state = gaussian_state(reference_params, 400, span=8.0)
+        # The raw norm before the rescale, and the unit-norm check after it.
+        assert calls == [(400, 400)] * 2
         spectrum = decompose(state)
-        assert calls == [(400, 400)]
+        spectrum.modes1
+        assert calls == [(400, 400)] * 2
         assert spectrum.rank < 400
         # The sketch fed a squared norm summed again from the amplitudes.
-        (u, s, v), discarded = schmidt_module._sketch(state.amplitudes,
-                                                       sum_of_squares(state.amplitudes))
-        assert spectrum.weights.tobytes() == (s * s).tobytes()
+        weights, factor, discarded = schmidt_module._sketch(state.amplitudes,
+                                                            sum_of_squares(state.amplitudes))
+        u, _, v = factor()
+        assert spectrum.weights.tobytes() == weights.tobytes()
         assert spectrum.modes1.tobytes() == u.tobytes()
         assert spectrum.modes2.tobytes() == v.tobytes()
         assert spectrum.discarded_weight == discarded
 
 
+class TestDeferredSketchModes:
+    """On the sketch route the weights cost a values-only SVD of an r x r
+    triangle, and the modes cost one SVD of the r x n2 block, on first read."""
+
+    @pytest.fixture(scope="class", params=[(400, 0.9), (1000, 0.97)],
+                    ids=lambda c: f"n{c[0]}-rho{c[1]}")
+    def state(self, request):
+        n, rho = request.param
+        params = GaussianParams(m1=1.0, m2=-1.0, sigma1=2.0, sigma2=1.0, rho=rho)
+        return gaussian_state(params, n, span=8.0)
+
+    def test_weights_cost_no_singular_vectors(self, state, svd_calls):
+        spectrum = decompose(state)
+        schmidt_number(spectrum.weights)
+        entanglement_entropy(spectrum.weights)
+        r = spectrum.rank
+        assert r < state.grid.n1 and spectrum.discarded_weight <= 1e-14
+        assert svd_calls == [((r, r), {"compute_uv": False})]
+
+    def test_modes_cost_one_svd_of_the_block_on_first_read(self, state, svd_calls):
+        spectrum = decompose(state)
+        del svd_calls[:]
+        spectrum.modes1
+        r = spectrum.rank
+        assert svd_calls == [((r, state.grid.n2), {"full_matrices": False})]
+        spectrum.modes2
+        reconstruct(spectrum, rank=r)
+        assert len(svd_calls) == 1
+
+    def test_modes_and_reconstruct_come_from_the_svd_of_the_block(self, state):
+        spectrum = decompose(state)
+        weights, factor, discarded = schmidt_module._sketch(state.amplitudes,
+                                                            state._squared_norm)
+        q, b = factor.args
+        ub, s, vt = np.linalg.svd(b, full_matrices=False)
+        u, s, v = schmidt_module._sign_fixed(q @ ub, s, vt)
+        r = spectrum.rank
+        assert spectrum.weights.tobytes() == weights.tobytes()
+        assert spectrum.discarded_weight == discarded
+        assert spectrum.modes1.tobytes() == u.tobytes()
+        assert spectrum.modes2.tobytes() == v.tobytes()
+        rebuilt = (u[:, :r] * s[:r]) @ v[:, :r].T
+        assert reconstruct(spectrum, rank=r).tobytes() == rebuilt.tobytes()
+        # The weights are the values-only R-SVD's; they match s**2 to rounding.
+        triangle = np.linalg.qr(b.T, mode="r")
+        values = np.linalg.svd(triangle, compute_uv=False)
+        assert weights.tobytes() == (values * values).tobytes()
+        assert float(np.max(np.abs(weights - s * s))) <= 1e-14
+
+
 class TestDeferredModes:
     """On the Gram route the weights cost no SVD and the modes cost one, on first read."""
-
-    @pytest.fixture
-    def svd_calls(self, monkeypatch):
-        calls = []
-        svd = np.linalg.svd
-
-        def spy(*args, **kwargs):
-            calls.append(kwargs)
-            return svd(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", spy)
-        return calls
 
     @pytest.fixture(scope="class")
     def state(self):
