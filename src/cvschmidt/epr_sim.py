@@ -7,12 +7,25 @@ i.e. K^(-n) in terms of the Schmidt number.  This module estimates that
 probability empirically with a seedable generator so every report is
 bit-reproducible.
 
-Sampling is inverse-CDF on the cumulative weights.  The experiment draws
-its trials in fixed blocks and filters them position by position (a few
-positions per pass when K is near 1): one searchsorted places the first
-source's symbol, an interval test on the cumulative weights checks the
-second, and only trials that still match go on to the next position.
-Memory is bounded by the block, not by trials * n.
+Sampling is inverse-CDF on the cumulative weights cum: a uniform u gets
+the symbol searchsorted(cum, u, side="right").  A guide table (Chen & Asau
+1974; Devroye, Non-Uniform Random Variate Generation, III.2.4) finds that
+symbol without a binary search for most draws.  It splits [0, 1) into T
+cells, T a power of two (the next one >= 16 m for m weights, at most
+2**16), and keeps for each cell t the symbol of its left edge,
+guide[t] = searchsorted(cum, t/T, side="right").  A cell is clean when no
+bucket boundary lies inside it, cum[guide[t]] >= (t+1)/T; only the draws
+that land in the other cells, at most m - 1 of them, are searched.  Since
+T is a power of two, u * T is exact and its floor is the cell holding u,
+so the table gives searchsorted's symbol bit for bit, also for a u equal
+to a cumulative weight and for zero weights.  The table takes 9 bytes a
+cell (an index and a flag): 74 KB at m = 437, never more than 0.6 MB.
+
+The experiment draws its trials in fixed blocks and filters them position
+by position (a few positions per pass when K is near 1): the table places
+the first source's symbol, an interval test on the cumulative weights
+checks the second, and only trials that still match go on to the next
+position.  Memory is bounded by the block, not by trials * n.
 """
 
 from __future__ import annotations
@@ -35,6 +48,10 @@ MAX_SYMBOL_PAIRS = 400_000_000
 # Symbol pairs drawn per block: whole trials of n symbols while n fits,
 # otherwise one trial in pieces of this many positions.
 _CHUNK_SYMBOLS = 2**16
+
+# Most cells of the guide table; below the cap a table has 16 to 32 cells
+# per weight.
+_MAX_GUIDE_CELLS = 2**16
 
 
 @dataclass(frozen=True)
@@ -61,6 +78,24 @@ def _cumulative(w: np.ndarray) -> np.ndarray:
     return cum
 
 
+def _guide_table(cum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The guide table of cum: each cell's first symbol and whether it is clean."""
+    cells = min(1 << (16 * cum.size - 1).bit_length(), _MAX_GUIDE_CELLS)
+    edges = np.arange(cells + 1) / cells
+    guide = np.searchsorted(cum, edges[:-1], side="right")
+    return guide, cum[guide] >= edges[1:]
+
+
+def _symbols(cum: np.ndarray, table: tuple[np.ndarray, np.ndarray], u: np.ndarray) -> np.ndarray:
+    """searchsorted(cum, u, side="right"), read from the guide table where it can be."""
+    guide, clean = table
+    cell = (u * guide.size).astype(np.intp)
+    k = guide[cell]
+    dirty = ~clean[cell]
+    k[dirty] = np.searchsorted(cum, u[dirty], side="right")
+    return k
+
+
 def _draw(rng: np.random.Generator, shape) -> np.ndarray:
     """Uniforms on [0, 1): every draw of this module goes through here."""
     return rng.random(shape)
@@ -75,7 +110,7 @@ def sample_stream(weights, n: int, seed: int) -> np.ndarray:
         raise DomainError(f"stream length must be >= 1, got {n}")
     cum = _cumulative(validate_weights(weights))
     rng = np.random.default_rng(seed)
-    return np.searchsorted(cum, _draw(rng, n), side="right")
+    return _symbols(cum, _guide_table(cum), _draw(rng, n))
 
 
 def _count_hits(cum: np.ndarray, K: float, n: int, trials: int, seed: int) -> int:
@@ -84,14 +119,16 @@ def _count_hits(cum: np.ndarray, K: float, n: int, trials: int, seed: int) -> in
     The first source reads default_rng(seed) and the second a PCG64(seed)
     advanced past the first source's trials * n draws, so both see exactly
     the stream a one-shot draw of (trials, n) then (trials, n) would: the
-    hit count does not depend on the block size.  A symbol k of the first
-    source matches the second draw u iff cum[k-1] <= u < cum[k], the bucket
-    searchsorted(cum, u, side="right") would put u in.
+    hit count does not depend on the block size.  The first source's
+    symbols come from the guide table; a symbol k matches the second draw u
+    iff cum[k-1] <= u < cum[k], the bucket searchsorted(cum, u, side="right")
+    would put u in.
     """
     first = np.random.default_rng(seed)
     second = np.random.Generator(np.random.PCG64(seed))
     second.bit_generator.advance(trials * n)
     lower = np.concatenate(([0.0], cum[:-1]))
+    table = _guide_table(cum)
     rows = max(1, _CHUNK_SYMBOLS // n)
     width = min(n, _CHUNK_SYMBOLS)
     # Positions tested per pass, chosen so that about half of the live
@@ -107,8 +144,13 @@ def _count_hits(cum: np.ndarray, K: float, n: int, trials: int, seed: int) -> in
             u1 = _draw(first, (count, step))
             u2 = _draw(second, (count, step))
             for j in range(0, step, group):
-                k = np.searchsorted(cum, u1[alive, j:j + group], side="right")
-                b = u2[alive, j:j + group]
+                cols = slice(j, j + group)
+                if alive.size == count:
+                    # Every trial is live: read the columns without a gather.
+                    a, b = u1[:, cols], u2[:, cols]
+                else:
+                    a, b = u1[alive, cols], u2[alive, cols]
+                k = _symbols(cum, table, a)
                 alive = alive[np.all((lower[k] <= b) & (b < cum[k]), axis=1)]
                 if alive.size == 0:
                     break

@@ -26,6 +26,14 @@ _CHUNK = epr_sim._CHUNK_SYMBOLS
 _RHO_0999 = truncated_weights(schmidt_number_from_rho(0.999))
 
 
+def geometric(rho):
+    return truncated_weights(schmidt_number_from_rho(rho))
+
+
+def flat(m):
+    return [1.0 / m] * m
+
+
 def one_shot_hits(weights, n, trials, seed):
     """The experiment's hit count drawn all at once: both sources from one
     default_rng(seed) stream, first (trials, n) then (trials, n)."""
@@ -86,6 +94,96 @@ class TestSampleStream:
     def test_stream_length_must_be_positive(self):
         with pytest.raises(DomainError):
             sample_stream([1.0], 0, seed=0)
+
+    @pytest.mark.parametrize("weights", [
+        flat(7), flat(300), geometric(0.9), geometric(0.999), geometric(0.9999),
+        [0.0, 0.0, 0.5, 0.5], [0.4, 0.0, 0.0, 0.6], [0.3, 0.7, 0.0, 0.0],
+        [1.0], [0.0, 1.0, 0.0],
+    ])
+    @pytest.mark.parametrize("seed", [0, 17])
+    def test_stream_matches_plain_searchsorted(self, weights, seed):
+        cum = np.cumsum(validate_weights(weights))
+        cum[-1] = 1.0
+        want = np.searchsorted(cum, np.random.default_rng(seed).random(100_000), side="right")
+        got = sample_stream(weights, 100_000, seed)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
+_BELOW_HALF = float(np.nextafter(0.5, 0.0))
+_ABOVE_HALF = float(np.nextafter(0.5, 1.0))
+
+
+def lookup_probes(cum, cells):
+    """Uniforms in [0, 1) at and beside every cell edge and cumulative
+    weight, plus the extremes and 10^5 seeded draws."""
+    edges = np.arange(cells) / cells
+    u = np.concatenate([
+        edges, np.nextafter(edges, 0.0),
+        cum, np.nextafter(cum, 0.0), np.nextafter(cum, 2.0),
+        [0.0, np.nextafter(1.0, 0.0)],
+        np.random.default_rng(99).random(100_000),
+    ])
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+class TestGuideTable:
+    """The guide-table lookup is np.searchsorted(cum, u, side="right")."""
+
+    WEIGHTS = {
+        "rho 0.9": geometric(0.9),
+        "rho 0.99": geometric(0.99),
+        "rho 0.999": geometric(0.999),
+        "rho 0.9995": geometric(0.9995),
+        "rho 0.9999": geometric(0.9999),
+        "flat 5": flat(5),
+        "flat 437": flat(437),
+        "zeros at the head": [0.0, 0.0, 0.0, 0.25, 0.75],
+        "zeros in the middle": [0.25, 0.0, 0.0, 0.0, 0.75],
+        "zeros at the tail": [0.25, 0.75, 0.0, 0.0, 0.0],
+        "single weight": [1.0],
+        "boundaries on cell edges": [0.25, 0.25, 0.0, 0.5],
+        "boundary one ulp below a cell edge": [_BELOW_HALF, 1.0 - _BELOW_HALF],
+        "boundary one ulp above a cell edge": [_ABOVE_HALF, 1.0 - _ABOVE_HALF],
+        "sum above 1 within the tolerance": [0.3, 0.7 + 5e-11, 0.0],
+        "cap leaves most cells dirty": flat(200_000),
+    }
+
+    @pytest.mark.parametrize("name", WEIGHTS)
+    def test_lookup_matches_searchsorted(self, name):
+        cum = epr_sim._cumulative(validate_weights(self.WEIGHTS[name]))
+        table = epr_sim._guide_table(cum)
+        u = lookup_probes(cum, table[0].size)
+        got = epr_sim._symbols(cum, table, u)
+        want = np.searchsorted(cum, u, side="right")
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("name", WEIGHTS)
+    def test_lookup_of_a_strided_block(self, name):
+        cum = epr_sim._cumulative(validate_weights(self.WEIGHTS[name]))
+        u = np.random.default_rng(3).random((500, 7))[::2, 1:5]
+        got = epr_sim._symbols(cum, epr_sim._guide_table(cum), u)
+        np.testing.assert_array_equal(got, np.searchsorted(cum, u, side="right"))
+
+    @pytest.mark.parametrize("name", WEIGHTS)
+    def test_table_size_and_clean_cells(self, name):
+        cum = epr_sim._cumulative(validate_weights(self.WEIGHTS[name]))
+        guide, clean = epr_sim._guide_table(cum)
+        cells = guide.size
+        m = cum.size
+        assert cells & (cells - 1) == 0
+        assert cells == min(2**16, max(16, 2 ** math.ceil(math.log2(16 * m))))
+        assert guide.nbytes + clean.nbytes == 9 * cells <= 9 * 2**16
+        # A cell is clean exactly when no cumulative weight lies inside it.
+        edges = np.arange(cells + 1) / cells
+        inside = (np.searchsorted(cum, edges[1:], side="left")
+                  > np.searchsorted(cum, edges[:-1], side="right"))
+        np.testing.assert_array_equal(clean, ~inside)
+        # Only the m - 1 boundaries below cum[-1] = 1 can make a cell dirty.
+        assert np.count_nonzero(~clean) <= m - 1
+        if name == "cap leaves most cells dirty":
+            assert np.count_nonzero(~clean) > cells // 2
 
 
 class TestCoincidenceExperiment:
@@ -186,6 +284,16 @@ class TestChunkedExperiment:
         (_RHO_0999, 4, 1_000, 15),
         (_RHO_0999, 1, 50_000, 16),
         ([0.999, 0.001], _CHUNK + 3, 4, 17),
+        (geometric(0.9), 1, 50_000, 18),
+        (geometric(0.9), 4, 50_000, 19),
+        (geometric(0.99), 1, 50_000, 20),
+        (geometric(0.99), 4, 50_000, 21),
+        (geometric(0.9995), 1, 50_000, 22),
+        (geometric(0.9995), 4, 50_000, 23),
+        (geometric(0.9999), 1, 50_000, 24),
+        (geometric(0.9999), 4, 50_000, 25),
+        (flat(300), 2, 50_000, 26),
+        (geometric(0.9), _CHUNK + 5, 3, 27),
     ])
     def test_hits_match_one_shot_draw(self, weights, n, trials, seed):
         report = run_coincidence_experiment(weights, n, trials, seed)
