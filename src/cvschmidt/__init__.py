@@ -24,7 +24,6 @@ from .gaussian_model import (
     GaussianParams,
     GeometricSpectrum,
     analytic_mode,
-    analytic_mode_pair,
     analytic_weights,
     closed_form_entropy,
     density,
@@ -61,7 +60,6 @@ __all__ = [
     "SchmidtSpectrum",
     "StateFileError",
     "analytic_mode",
-    "analytic_mode_pair",
     "analytic_weights",
     "beta_from_K",
     "build_grid",

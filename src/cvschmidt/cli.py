@@ -27,7 +27,7 @@ from .errors import DomainError, NumericalError, StateFileError
 from .information import InfoReport, info_report
 from .schmidt import decompose, entanglement_entropy, schmidt_number
 from .thermo import K_from_beta, oscillator_entropy, rho_squared_from_beta
-from .util import format_float
+from .util import format_float, require_count
 
 # Most rows one `thermo` sweep may print: 500 times the default sweep.
 MAX_SWEEP_POINTS = 100_000
@@ -56,13 +56,7 @@ def _write(text: str, output_path) -> None:
         click.echo(text, nl=False)
 
 
-def _require_count(count: int) -> None:
-    if count < 1:
-        raise DomainError(f"count must be >= 1, got {count}")
-
-
-def _gaussian_pipeline(params: gm.GaussianParams, n: int, span: float):
-    grid = build_grid(params, n, span)
+def _gaussian_pipeline(params: gm.GaussianParams, grid):
     return sample_state(lambda a, b: gm.wavefunction(params, a, b), grid)
 
 
@@ -127,11 +121,17 @@ def table1_command(grids, span, count, output_format, output_path, **gaussian):
     if not grid_sizes:
         raise click.BadParameter("--grids must name at least one grid size")
     params = gm.GaussianParams(**gaussian)
+    require_count(count)
+    grids = {n: build_grid(params, n, span) for n in grid_sizes}
+    # Rows past the largest grid could only print 0 in every grid column.
+    if count > max(grid_sizes):
+        raise DomainError(f"cannot report {count} weights from grids of at most "
+                          f"{max(grid_sizes)} cells per axis")
     theory_K = params.schmidt_number
     theory = gm.analytic_weights(theory_K, count)
     numeric = {}
-    for n in grid_sizes:
-        spectrum = decompose(_gaussian_pipeline(params, n, span))
+    for n, grid in grids.items():
+        spectrum = decompose(_gaussian_pipeline(params, grid))
         numeric[n] = (spectrum.weights, schmidt_number(spectrum.weights))
     rows = []
     for k in range(count):
@@ -158,10 +158,10 @@ def table1_command(grids, span, count, output_format, output_path, **gaussian):
 def modes_command(n, span, count, output_format, output_path, **gaussian):
     """Emit analytic and grid Schmidt mode curves on the grid midpoints."""
     params = gm.GaussianParams(**gaussian)
-    _require_count(count)
+    require_count(count)
     if count > n:
         raise DomainError(f"cannot report {count} modes from an n={n} grid")
-    state = _gaussian_pipeline(params, n, span)
+    state = _gaussian_pipeline(params, build_grid(params, n, span))
     spectrum = decompose(state)
     if count > spectrum.rank:
         raise DomainError(f"cannot report {count} modes: the n={n} decomposition "
@@ -195,7 +195,7 @@ def modes_command(n, span, count, output_format, output_path, **gaussian):
 def decompose_command(state_file, n_symbols, count, log_base, output_format, output_path):
     """Decompose a state file into its Schmidt spectrum and summary scalars."""
     if count is not None:
-        _require_count(count)
+        require_count(count)
     weights = decompose(read_state_file(state_file)).weights
     K = schmidt_number(weights)
     entropy = entanglement_entropy(weights, log_base)
@@ -216,7 +216,7 @@ def decompose_command(state_file, n_symbols, count, log_base, output_format, out
 def mutual_info_command(n, span, log_base, output_format, output_path, **gaussian):
     """Numeric mutual information of the discretized Gaussian vs. log K."""
     params = gm.GaussianParams(**gaussian)
-    state = _gaussian_pipeline(params, n, span)
+    state = _gaussian_pipeline(params, build_grid(params, n, span))
     numeric = shannon_mi_numeric(state.probabilities(), log_base)
     analytic = gm.shannon_mi_gaussian(params.rho, log_base)
     rows = [

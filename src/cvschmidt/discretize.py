@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError, StateFileError
 from .gaussian_model import GaussianParams
-from .util import log_divisor
+from .util import _FLOAT_SPEC, log_divisor
 
 # Validation tolerances for probability inputs.  Grid-sized sums use numpy's
 # pairwise summation, not math.fsum: fsum's cost per item grows with the
@@ -262,7 +262,12 @@ def _sum_of_squares(a: np.ndarray) -> float:
         return float(np.sum(sums))
 
 
-def _validate_joint(p_joint) -> np.ndarray:
+def marginals(p_joint) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column sums of a joint probability matrix; each sums to 1.
+
+    The joint must be a finite, nonnegative matrix whose entries sum to 1
+    within 1e-12; anything else raises DomainError.
+    """
     p = np.asarray(p_joint, dtype=float)
     if p.ndim != 2:
         raise DomainError(f"joint distribution must be a matrix, got ndim={p.ndim}")
@@ -282,12 +287,6 @@ def _validate_joint(p_joint) -> np.ndarray:
         raise DomainError("joint distribution has negative entries")
     if abs(total - 1.0) > _TOTAL_TOL:
         raise DomainError(f"joint distribution sums to {total!r}, not 1")
-    return p
-
-
-def marginals(p_joint) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column sums of a joint probability matrix; each sums to 1."""
-    p = _validate_joint(p_joint)
     return p.sum(axis=1), p.sum(axis=0)
 
 
@@ -306,8 +305,8 @@ def shannon_mi_numeric(p_joint, log_base=math.e) -> float:
     ~5.6e-309 alone in its row and column) raises DomainError.
     """
     divisor = log_divisor(log_base)
-    p = _validate_joint(p_joint)
-    p1, p2 = p.sum(axis=1), p.sum(axis=0)
+    p = np.asarray(p_joint, dtype=float)
+    p1, p2 = marginals(p)
     sums = []
     # p1 * p2 can underflow where (p / p1) / p2 does not, so only the ratio
     # is formed; a ratio that overflows makes the total non-finite.  A cell
@@ -337,8 +336,8 @@ def write_state_file(path, state: DiscretizedState) -> None:
     """
     grid = state.grid
     samples = state.amplitudes / math.sqrt(grid.cell_area)
-    # One format string per row: "%.17g" prints what format_float prints.
-    row_format = ",".join(["%.17g"] * grid.n2) + "\n"
+    # One format string per row, printing what format_float prints.
+    row_format = ",".join(["%" + _FLOAT_SPEC] * grid.n2) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(dataclasses.asdict(grid)) + "\n")
         for row in samples:

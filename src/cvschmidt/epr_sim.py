@@ -101,14 +101,21 @@ def _draw(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.random(shape)
 
 
+def _require_seed(seed: int) -> None:
+    """Reject a negative seed, which numpy's generators do not accept."""
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+
+
 def sample_stream(weights, n: int, seed: int) -> np.ndarray:
     """Draw n independent symbols from the categorical distribution.
 
-    Deterministic for a fixed seed; returns an integer index array.
+    Deterministic for a fixed seed (>= 0); returns an integer index array.
     """
     if n < 1:
         raise DomainError(f"stream length must be >= 1, got {n}")
     cum = _cumulative(validate_weights(weights))
+    _require_seed(seed)
     rng = np.random.default_rng(seed)
     return _symbols(cum, _guide_table(cum), _draw(rng, n))
 
@@ -182,6 +189,7 @@ def run_coincidence_experiment(weights, n: int, trials: int, seed: int) -> Coinc
         raise DomainError(f"trials * n = {pairs} exceeds the budget of "
                           f"{MAX_SYMBOL_PAIRS} symbol pairs")
     w = validate_weights(weights)
+    _require_seed(seed)
     K = _schmidt_number(w)
     hits = _count_hits(_cumulative(w), K, int(n), int(trials), seed)
     p_hat = hits / trials

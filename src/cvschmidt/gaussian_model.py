@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .util import log_divisor, require_schmidt_number
+from .util import log_divisor, require_count, require_schmidt_number
 
 # Mode sums stop once sqrt(lambda_k) falls below this floor or after this
 # many terms; sampling spectra stop once the geometric tail is below
@@ -85,10 +85,6 @@ class GeometricSpectrum:
     def from_K(cls, K: float) -> "GeometricSpectrum":
         require_schmidt_number(K)
         return cls(K=K, lambda0=2.0 / (K + 1.0), q=(K - 1.0) / (K + 1.0))
-
-    def tail_mass(self, count: int) -> float:
-        """Total weight beyond the first `count` terms, q**count exactly."""
-        return self.q**count
 
 
 def density(params: GaussianParams, x1, x2):
@@ -154,8 +150,7 @@ def analytic_weights(K: float, count: int) -> list[float]:
 
     Strictly decreasing when K > 1; [1, 0, 0, ...] at K = 1.
     """
-    if count < 1:
-        raise DomainError(f"count must be >= 1, got {count}")
+    require_count(count)
     spec = GeometricSpectrum.from_K(K)
     return [spec.lambda0 * spec.q**k for k in range(count)]
 
@@ -233,28 +228,15 @@ def analytic_mode(k: int, m: float, sigma: float, K: float, x):
     return prefactor * hermite_function(k, u)
 
 
-def analytic_mode_pair(params: GaussianParams, k: int, x1, x2):
-    """Paired modes (psi_k on axis 1, psi_k on axis 2) oriented for synthesis.
-
-    For rho < 0 the axis-2 mode carries the factor (-1)^k so that
-    sum_k sqrt(lambda_k) psi_k(x1) psi_k(x2) reproduces the wavefunction
-    for either sign of the correlation.
-    """
-    K = schmidt_number_from_rho(params.rho)
-    mode1 = analytic_mode(k, params.m1, params.sigma1, K, x1)
-    mode2 = analytic_mode(k, params.m2, params.sigma2, K, x2)
-    if params.rho < 0.0 and k % 2 == 1:
-        mode2 = -mode2
-    return mode1, mode2
-
-
 def analytic_modes(params: GaussianParams, axis: int, x):
     """Yield the modes psi_0, psi_1, ... of one axis (1 or 2) at the points x.
 
-    Item k equals analytic_mode_pair(params, k, ...)[axis - 1] bit for bit,
-    but one recurrence walk serves every k, so the first `count` modes cost
-    `count` steps instead of count^2 / 2.  Any other axis raises DomainError
-    when the first mode is requested.
+    Item k is analytic_mode(k, m, sigma, K, x) of that axis bit for bit,
+    except that for rho < 0 the odd modes of axis 2 are negated, so that
+    sum_k sqrt(lambda_k) psi_k(x1) psi_k(x2) reproduces the wavefunction for
+    either sign of the correlation.  One recurrence walk serves every k, so
+    the first `count` modes cost `count` steps instead of count^2 / 2.  Any
+    other axis raises DomainError when the first mode is requested.
     """
     if axis not in (1, 2):
         raise DomainError(f"axis must be 1 or 2, got {axis!r}")

@@ -13,6 +13,9 @@ _LN2 = math.log(2.0)
 _NEGATIVE_WEIGHT_TOL = -1e-14
 _WEIGHT_SUM_TOL = 1e-10
 
+# 17 significant digits round-trip every double: CSV tables and state files.
+_FLOAT_SPEC = ".17g"
+
 
 def log_divisor(log_base) -> float:
     """Return the factor that converts natural log to the requested base.
@@ -28,9 +31,17 @@ def log_divisor(log_base) -> float:
 
 
 def require_schmidt_number(K) -> None:
-    """Raise DomainError unless K >= 1 (NaN fails too), the domain of every map of K."""
+    """Raise DomainError unless 1 <= K < inf (NaN fails too), the domain of every map of K."""
     if not K >= 1.0:
         raise DomainError(f"Schmidt number must be >= 1, got {K}")
+    if K == math.inf:
+        raise DomainError(f"Schmidt number must be finite, got {K}")
+
+
+def require_count(count) -> None:
+    """Raise DomainError unless a requested row or weight count is >= 1."""
+    if count < 1:
+        raise DomainError(f"count must be >= 1, got {count}")
 
 
 def validate_weights(weights) -> np.ndarray:
@@ -58,4 +69,4 @@ def validate_weights(weights) -> np.ndarray:
 
 def format_float(value: float) -> str:
     """Serialize a float with 17 significant digits (lossless round trip)."""
-    return format(float(value), ".17g")
+    return format(float(value), _FLOAT_SPEC)

@@ -6,7 +6,7 @@ that convergence claims are checked against a second construction.
 
 import numpy as np
 
-from cvschmidt import build_grid, density
+from cvschmidt import analytic_mode, build_grid, density, schmidt_number_from_rho
 
 
 def gauss_legendre_cell_joint(params, n, span):
@@ -28,6 +28,22 @@ def gauss_legendre_cell_joint(params, n, span):
     cell = np.einsum("iajb,a,b->ij", values, weights, weights)
     cell *= 0.25 * grid.dx1 * grid.dx2
     return cell / cell.sum()
+
+
+def analytic_mode_pair(params, k: int, x1, x2):
+    """Paired modes (psi_k on axis 1, psi_k on axis 2) oriented for synthesis.
+
+    For rho < 0 the axis-2 mode carries the factor (-1)^k so that
+    sum_k sqrt(lambda_k) psi_k(x1) psi_k(x2) reproduces the wavefunction
+    for either sign of the correlation.  Each mode comes from analytic_mode,
+    independently of the library's one-walk analytic_modes.
+    """
+    K = schmidt_number_from_rho(params.rho)
+    mode1 = analytic_mode(k, params.m1, params.sigma1, K, x1)
+    mode2 = analytic_mode(k, params.m2, params.sigma2, K, x2)
+    if params.rho < 0.0 and k % 2 == 1:
+        mode2 = -mode2
+    return mode1, mode2
 
 
 def trapezoid_norm_error(values, x):

@@ -20,7 +20,6 @@ from cvschmidt import (
     GridSpec,
     K_from_beta,
     NumericalError,
-    analytic_mode_pair,
     build_grid,
     closed_form_entropy,
     sample_state,
@@ -29,6 +28,8 @@ from cvschmidt import (
     write_state_file,
 )
 from cvschmidt import cli as cli_module
+from cvschmidt import gaussian_model as gm
+from oracles import analytic_mode_pair
 
 REFERENCE_K = 2.29415733870562
 REFERENCE_WEIGHTS = (
@@ -144,6 +145,19 @@ class TestTable1:
         code, out, err = run_cli(capsys, "table1", "--count", count)
         assert (code, out) == (1, "")
         assert f"count must be >= 1, got {count}" in err
+
+    @pytest.mark.parametrize("grids, count", [("30", "31"), ("30,100,50", "2000000")])
+    def test_count_above_the_largest_grid_is_rejected_before_allocating(
+            self, capsys, monkeypatch, grids, count):
+        def allocate(*args):
+            raise AssertionError("allocated before checking --count")
+
+        monkeypatch.setattr(gm, "analytic_weights", allocate)
+        monkeypatch.setattr(cli_module, "sample_state", allocate)
+        code, out, err = run_cli(capsys, "table1", "--grids", grids, "--count", count)
+        largest = max(int(n) for n in grids.split(","))
+        assert (code, out, err) == (1, "", f"error: cannot report {count} weights from grids "
+                                           f"of at most {largest} cells per axis\n")
 
 
 class TestModes:
@@ -434,6 +448,11 @@ class TestSimulate:
         assert (code, out) == (1, "")
         assert err == f"error: byte 0xe9 in {path} is not UTF-8 text\n"
 
+    def test_negative_seed_is_an_input_error(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--rho", "0.9", "--n", "2",
+                                 "--trials", "10", "--seed", "-1")
+        assert (code, out, err) == (1, "", "error: seed must be >= 0, got -1\n")
+
     def test_draw_budget_is_an_input_error(self, capsys):
         code, out, err = run_cli(capsys, "simulate", "--rho", "0.9", "--n", "4",
                                  "--trials", "100000001")
@@ -482,6 +501,10 @@ class TestInfo:
         values = {r[0]: r[1] for r in rows}
         assert values["w_log_space"] == "1"
         assert float(values["W"]) == pytest.approx(1100.0 * math.log(2.0), rel=1e-12)
+
+    def test_infinite_schmidt_number_is_an_input_error(self, capsys):
+        code, out, err = run_cli(capsys, "info", "--K", "inf", "--format", "json")
+        assert (code, out, err) == (1, "", "error: Schmidt number must be finite, got inf\n")
 
     def test_sources_are_mutually_exclusive(self, capsys):
         assert run_cli(capsys, "info")[0] == 1

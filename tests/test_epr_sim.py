@@ -254,6 +254,16 @@ class TestCoincidenceExperiment:
         with pytest.raises(Drawing):
             run_coincidence_experiment([0.5, 0.5], 4, MAX_SYMBOL_PAIRS // 4, seed=0)
 
+    def test_negative_seed_rejected_before_drawing(self, monkeypatch):
+        def no_generator(*args):
+            raise AssertionError("built a generator before checking the seed")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        for draw in (lambda: sample_stream([0.5, 0.5], 3, -1),
+                     lambda: run_coincidence_experiment([0.5, 0.5], 2, 10, -1)):
+            with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
+                draw()
+
     def test_invalid_arguments_rejected(self):
         with pytest.raises(DomainError):
             run_coincidence_experiment([0.5, 0.5], 0, 100, seed=0)

@@ -13,7 +13,6 @@ from cvschmidt import (
     GaussianParams,
     GeometricSpectrum,
     analytic_mode,
-    analytic_mode_pair,
     analytic_weights,
     closed_form_entropy,
     density,
@@ -27,6 +26,7 @@ from cvschmidt import (
 )
 from cvschmidt import gaussian_model as gm
 from cvschmidt.gaussian_model import hermite_functions
+from oracles import analytic_mode_pair
 
 REFERENCE_K = 2.29415733870562
 REFERENCE_WEIGHTS = (
@@ -234,7 +234,7 @@ class TestGeometricWeights:
     def test_partial_sum_identity(self, K, count):
         spectrum = GeometricSpectrum.from_K(K)
         partial = math.fsum(analytic_weights(K, count))
-        assert abs(partial - (1.0 - spectrum.tail_mass(count))) <= 1e-12
+        assert abs(partial - (1.0 - spectrum.q ** count)) <= 1e-12
 
     def test_count_must_be_positive(self):
         with pytest.raises(DomainError):
@@ -256,8 +256,8 @@ class TestGeometricWeights:
         K = schmidt_number_from_rho(0.9)
         spectrum = GeometricSpectrum.from_K(K)
         count = len(truncated_weights(K))
-        assert spectrum.tail_mass(count) < 1e-12
-        assert spectrum.tail_mass(count - 1) >= 1e-12
+        assert spectrum.q ** count < 1e-12
+        assert spectrum.q ** (count - 1) >= 1e-12
 
     def test_truncated_weights_count_is_checked_before_allocating(self, monkeypatch):
         def K_for_count(count):
@@ -277,10 +277,21 @@ class TestGeometricWeights:
         monkeypatch.setattr(gm, "analytic_weights", allocate)
         truncated_weights(K_for_count(budget))
         assert counts == [budget]
-        for K in (K_for_count(budget + 1), 1e17, math.inf):
+        for K in (K_for_count(budget + 1), 1e17):
             with pytest.raises(DomainError, match="above the budget of 1000000"):
                 truncated_weights(K)
         assert counts == [budget]
+
+    @pytest.mark.parametrize("K_map", [
+        closed_form_entropy,
+        rho_squared_from_K,
+        truncated_weights,
+        lambda K: analytic_weights(K, 3),
+        lambda K: analytic_mode(0, 0.0, 1.0, K, 0.5),
+    ])
+    def test_infinite_schmidt_number_is_rejected(self, K_map):
+        with pytest.raises(DomainError, match="Schmidt number must be finite, got inf"):
+            K_map(math.inf)
 
 
 class TestSchmidtModes:

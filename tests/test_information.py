@@ -36,7 +36,7 @@ class TestCoincidenceProbability:
         values = [coincidence_probability(REFERENCE_K, n) for n in range(1, 12)]
         assert all(b < a for a, b in zip(values, values[1:]))
 
-    @pytest.mark.parametrize("K,n", [(0.5, 1), (2.0, 0), (2.0, -3)])
+    @pytest.mark.parametrize("K,n", [(0.5, 1), (math.inf, 1), (2.0, 0), (2.0, -3)])
     def test_invalid_arguments_rejected(self, K, n):
         with pytest.raises(DomainError):
             coincidence_probability(K, n)
