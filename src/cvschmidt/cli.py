@@ -27,7 +27,7 @@ from .errors import DomainError, NumericalError, StateFileError
 from .information import InfoReport, info_report
 from .schmidt import decompose, entanglement_entropy, schmidt_number
 from .thermo import K_from_beta, oscillator_entropy, rho_squared_from_beta
-from .util import format_float, require_count
+from .util import format_float, require_count, require_symbol_count
 
 # Most rows one `thermo` sweep may print: 500 times the default sweep.
 MAX_SWEEP_POINTS = 100_000
@@ -196,6 +196,7 @@ def decompose_command(state_file, n_symbols, count, log_base, output_format, out
     """Decompose a state file into its Schmidt spectrum and summary scalars."""
     if count is not None:
         require_count(count)
+    require_symbol_count(n_symbols)
     weights = decompose(read_state_file(state_file)).weights
     K = schmidt_number(weights)
     entropy = entanglement_entropy(weights, log_base)

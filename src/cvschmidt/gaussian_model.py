@@ -34,6 +34,8 @@ _SQRT_WEIGHT_FLOOR = 1e-12
 _MAX_MODES = 512
 _TAIL_MASS = 1e-12
 _MAX_TRUNCATED_WEIGHTS = 1_000_000
+# Cells per block of the density's exp (see _density_array).
+_EXP_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -113,6 +115,17 @@ def _density_array(params: GaussianParams, x1, x2) -> np.ndarray:
     the order exp(-(t1^2 - 2 rho t1 t2 + t2^2) / (2 (1 - rho^2))) / norm
     evaluates, with -z / c computed as z / -c, which IEEE arithmetic rounds
     identically.
+
+    The exp runs over blocks of _EXP_BLOCK cells.  A block whose exponents
+    all lie at or above -708 takes a plain exp; any other block takes it
+    only where the exponent is at least -746 and clamps the rest to 0.0,
+    which is what exp returns for them.  The bits are those of one plain
+    exp over the whole array.  exp costs ~1 ns per normal result but ~20 ns
+    per result that underflows to 0.0 (~144 ns per subnormal one), and on a
+    highly correlated grid most exponents lie below -746: at n = 1000, rho
+    0.998 to 0.9995, span 10, the exp took 2.6-3.1 ms instead of 8-9 ms on
+    2 CPUs.  Where the mass covers the grid the plain exp is the faster
+    one, hence the choice per block.
     """
     t1 = (np.asarray(x1, dtype=float) - params.m1) / params.sigma1
     t2 = (np.asarray(x2, dtype=float) - params.m2) / params.sigma2
@@ -123,8 +136,18 @@ def _density_array(params: GaussianParams, x1, x2) -> np.ndarray:
     np.subtract(t1 * t1, out, out=out)
     np.add(out, t2 * t2, out=out)
     np.divide(out, -(2.0 * one_minus_r2), out=out)
-    np.exp(out, out=out)
-    np.divide(out, norm, out=out)
+    flat = out.reshape(-1)
+    for start in range(0, flat.size, _EXP_BLOCK):
+        block = flat[start:start + _EXP_BLOCK]
+        if block.min() >= -708.0:
+            np.exp(block, out=block)
+        else:
+            # exp rounds to 0.0 below about -745.13, so clamping the
+            # skipped exponents to 0.0 gives its bits; NaN fails the mask
+            # and survives the clamp, as it survives exp.
+            np.exp(block, out=block, where=block >= -746.0)
+            np.maximum(block, 0.0, out=block)
+        np.divide(block, norm, out=block)
     return out
 
 
@@ -210,9 +233,19 @@ def hermite_function(k: int, u):
 
 
 def _mode_argument(m: float, sigma: float, K: float, x):
-    """Scaled coordinate u and prefactor with psi_k(x) = prefactor * h_k(u)."""
+    """Scaled coordinate u and prefactor with psi_k(x) = prefactor * h_k(u).
+
+    A sigma so small that K / (2 sigma^2) is not finite (2 sigma^2 underflows
+    to 0, or K / (2 sigma^2) overflows: sigma below about 5e-155 sqrt(K))
+    raises DomainError.
+    """
+    twice_variance = 2.0 * sigma * sigma
+    ratio = K / twice_variance if twice_variance > 0.0 else math.inf
+    if ratio == math.inf:
+        raise DomainError(f"sigma = {sigma!r} is too small: the mode prefactor "
+                          f"(K / (2 sigma^2))^(1/4) is not finite")
     u = ((np.asarray(x, dtype=float) - m) / sigma) * math.sqrt(0.5 * K)
-    return u, (K / (2.0 * sigma * sigma)) ** 0.25
+    return u, ratio ** 0.25
 
 
 def analytic_mode(k: int, m: float, sigma: float, K: float, x):

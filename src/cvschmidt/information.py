@@ -12,8 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
-from .util import _LN2, log_divisor, require_schmidt_number
+from .util import _LN2, log_divisor, require_schmidt_number, require_symbol_count
 
 # Past this, exp(x) exceeds double range (overflow near 709.8).
 _LOG_SPACE_THRESHOLD = 700.0
@@ -39,8 +38,7 @@ class InfoReport:
 
 def _validate(K: float, n: int) -> None:
     require_schmidt_number(K)
-    if n < 1:
-        raise DomainError(f"symbol count must be >= 1, got {n}")
+    require_symbol_count(n)
 
 
 def coincidence_probability(K: float, n: int) -> float:

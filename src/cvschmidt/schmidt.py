@@ -14,9 +14,12 @@ how fast the spectrum decays:
   blocked form of Yu, Gu & Li, SIAM J. Matrix Anal. Appl. 39:1339, 2018).
   It grows an orthonormal basis Q of axis-1 vectors, 64 columns of a fixed
   pseudo-random sketch at a time, and stops once the residual
-  ||A - Q Q^T A||_F^2, computed directly, is at most 1e-14.  Until then the
-  leftover is tracked as the state's own row-blocked squared norm minus
-  the squares of each block of Q^T A.  The state has unit norm, so that
+  ||A - Q Q^T A||_F^2, computed directly, is at most 1e-14.  Each block
+  after the first is projected twice against Q, factored by QR, then
+  projected once more and factored again: the QR of a rank-deficient block
+  fills its missing directions with columns that need not be orthogonal
+  to Q.  Until then the leftover is tracked as the state's own row-blocked
+  squared norm minus the squares of each block of Q^T A.  The state has unit norm, so that
   residual is exactly the Schmidt weight the truncation drops; it is
   reported as `discarded_weight`.  The kept weights are the squared
   singular values of the small r x n2 block B = Q^T A, taken values-only
@@ -36,7 +39,15 @@ how fast the spectrum decays:
 - When the leftover weight decays so slowly per block that more than
   min(n1, n2) // 4 columns would be needed, the sketch gives up and the
   weights are Gram eigenvalues, in non-increasing order with negative
-  rounding dust set to 0.  Forming a Gram matrix squares the condition
+  rounding dust set to 0.  Most such states are seen before the first
+  block: a probe of its first 16 columns Y = A Omega takes the leftover
+  total - ||L^-1 Y^T A||_F^2 with Y^T Y = L L^T (the Cholesky factor, so no
+  QR), and when its decay per 16 columns predicts more than one block past
+  the cap, the Gram route starts at once.  Otherwise the first block is
+  the probe's columns beside the product with the other 48; with numpy
+  2.4 on OpenBLAS 0.3.31 that gives the bits of one 64-column product, so
+  the sketch's weights and modes are unchanged.  At n = 1000 on 2 CPUs the
+  probe takes 2-3 ms where the discarded block took 11-16 ms.  Forming a Gram matrix squares the condition
   number, so each weight is accurate only to about
   min(n1, n2) * eps * lambda_0 absolute (Golub & Van Loan, Matrix
   Computations, section 8.6).  The Gram matrix is that of a window W of
@@ -48,17 +59,25 @@ how fast the spectrum decays:
   state has lambda_0 >= 1 / min(n1, n2), so that is inside the accuracy
   above.  The eigenvalues of the smaller of W^T W and W W^T are padded
   with exact zeros to min(n1, n2), so the weights past the window are 0.
-  Against the dense SVD the gap measured at most 4e-16 (33 states,
-  n = 400 and 1000, rho 0.99 to 0.9999, spans 6 to 10), so weights below
-  ~1e-16 are rounding noise.  As on the sketch route, the modes are not
+  That Gram matrix is summed over bands: the same row-blocked pass gives
+  each block's span of columns with a nonzero square, and each block
+  adds only the product over its span.  Leaving out the zero squares
+  leaves out products with amplitudes below ~1.5e-162, which moves each
+  Gram entry by at most max(n1, n2) * 1.5e-162.  A highly correlated
+  state's blocks span 60-310 of the window's ~830 columns, and the
+  product takes 3-4 ms instead of 9-11 ms; a window whose blocks all span
+  every column is one product.  Against the dense SVD the gap measured
+  at most 4e-16 (33 states, n = 400 and 1000, rho 0.99 to 0.9999, spans
+  6 to 10), so weights below ~1e-16 are rounding noise.  As on the sketch route, the modes are not
   computed until one is first read; here that read runs the dense SVD of
   the whole state once and keeps its factors, whose singular values
   differ from the square roots of the weights by rounding.  Nothing is
   left out of the modes or of `reconstruct`, so `discarded_weight` is
   0.0.  Past min(n1, n2) // 4 sketch columns the Gram eigenvalues are the
-  cheaper route: at n = 1000 on 2 CPUs they take 55-75 ms for rho 0.998
-  to 0.9995 at span 10, where the window is about 830 x 830, against
-  ~120 ms for 192 sketch columns and ~205 ms for 320.
+  cheaper route: at n = 1000 on 2 CPUs `decompose` takes 51-65 ms for rho
+  0.998 to 0.9995 at span 10, where the window is about 830 x 830 and
+  `eigvalsh` alone takes 40-50 ms, against ~120 ms for 192 sketch columns
+  and ~205 ms for 320.
 
 Sign fixing: each weight's mode pair is flipped jointly so that the
 axis-1 column's largest-magnitude entry is positive.  A joint flip leaves
@@ -86,6 +105,9 @@ from .util import log_divisor, validate_weights
 _BLOCK = 64
 _TAIL = 1e-14
 _CAP_DIVISOR = 4
+# Sketch columns of the probe that may send a grid to the Gram route
+# before the first block is factored (see `_probe_gives_up`).
+_PROBE = 16
 
 
 class SchmidtSpectrum:
@@ -201,33 +223,85 @@ def _gram_weights(a: np.ndarray, total: float) -> np.ndarray:
     """Squared singular values of `a`, non-increasing, from the smaller Gram
     matrix of its edge-trimmed window and padded with zeros to min(n1, n2).
 
-    `total` is the squared norm of `a` that its state checked.
+    `total` is the squared norm of `a` that its state checked.  The Gram
+    matrix is summed band by band (see `_window`).
     """
-    window = a[_window(a, total)]
-    gram = window.T @ window if window.shape[1] <= window.shape[0] else window @ window.T
+    rows, cols, bands = _window(a, total)
+    window = a[rows, cols]
+    m1, m2 = window.shape
+    if m2 <= m1:
+        gram = np.zeros((m2, m2))
+        for band_rows, band_cols in bands:
+            part = window[band_rows, band_cols]
+            gram[band_cols, band_cols] += part.T @ part
+    else:
+        gram = np.zeros((m1, m1))
+        for band_cols, band_rows in _column_bands(bands, m2):
+            part = window[band_rows, band_cols]
+            gram[band_rows, band_rows] += part @ part.T
     weights = np.zeros(min(a.shape))
     weights[:gram.shape[0]] = np.maximum(np.linalg.eigvalsh(gram)[::-1], 0.0)
     return weights
 
 
+def _column_bands(bands, width: int):
+    """The column slices that partition a window of `width` columns, each
+    with the rows of the row `bands` that span it, for W W^T = sum W_c W_c^T.
+
+    Between consecutive span ends every row band either spans all of a
+    column slice or none of it; the slice's rows run from the first band
+    that spans it to the last.
+    """
+    ends = sorted({0, width}.union(*((c.start, c.stop) for _, c in bands)))
+    column_bands = []
+    for lo, hi in zip(ends, ends[1:]):
+        spanning = [rows for rows, cols in bands if cols.start <= lo and hi <= cols.stop]
+        if spanning:
+            _add_band(column_bands, slice(lo, hi), slice(spanning[0].start, spanning[-1].stop))
+    return column_bands
+
+
+def _add_band(bands, along: slice, across: slice) -> None:
+    """Append the band (along, across), or extend the last band over `along`
+    when it has the same `across` and ends where `along` starts."""
+    if bands and bands[-1][1] == across and bands[-1][0].stop == along.start:
+        bands[-1] = (slice(bands[-1][0].start, along.stop), across)
+    else:
+        bands.append((along, across))
+
+
 def _window(a: np.ndarray, total: float):
     """Row and column slices of `a` left once leading and trailing rows and
     columns are cut, smallest mass first, while the cut masses sum to at
-    most eps * total.
+    most eps * total; and the window's bands.
 
     The row and column masses come from one row-blocked pass, with no BLAS
     call, so the window is the same at any thread count.  The cut rows and
     columns share their corner cells, so the mass outside the window is at
     most the sum of the cut masses.  The cut never reaches the last row or
     column: they hold all but about eps of `total`.
+
+    A band is a pair of row and column slices of the window: the window's
+    rows of one row block, or of a run of consecutive blocks with the same
+    span, and the span of columns where those blocks have a nonzero
+    square.  Every nonzero square of the window lies in a band, so summing
+    the bands' own W^T W (or, through `_column_bands`, W W^T) gives that of
+    the window, except for products with an amplitude whose square
+    underflows to 0 (below ~1.5e-162 in magnitude): each Gram entry moves
+    by at most max(n1, n2) * 1.5e-162.  A window whose every block spans
+    all of its columns is one band, and its Gram matrix one product.
     """
     n1, n2 = a.shape
     rows = np.empty(n1)
     block_cols = []
+    spans = []
     for block, squares in _row_blocks(a):
         np.multiply(a[block], a[block], out=squares)
         np.sum(squares, axis=1, out=rows[block])
         block_cols.append(np.sum(squares, axis=0))
+        nonzero = np.flatnonzero(block_cols[-1])
+        if nonzero.size:
+            spans.append((block, int(nonzero[0]), int(nonzero[-1]) + 1))
     cols = np.sum(block_cols, axis=0)
     # Edges in the order top, bottom, left, right, each read from the outside in.
     edges = (rows.tolist(), rows[::-1].tolist(), cols.tolist(), cols[::-1].tolist())
@@ -238,11 +312,19 @@ def _window(a: np.ndarray, total: float):
     while True:
         mass = min(heads)
         if spent + mass > budget:
-            return slice(cuts[0], n1 - cuts[1]), slice(cuts[2], n2 - cuts[3])
+            break
         edge = heads.index(mass)
         spent += mass
         cuts[edge] += 1
         heads[edge] = edges[edge][cuts[edge]]
+    top, bottom, left, right = cuts[0], n1 - cuts[1], cuts[2], n2 - cuts[3]
+    bands = []
+    for block, lo, hi in spans:
+        start, stop = max(block.start, top) - top, min(block.stop, bottom) - top
+        lo, hi = max(lo, left) - left, min(hi, right) - left
+        if start < stop and lo < hi:
+            _add_band(bands, slice(start, stop), slice(lo, hi))
+    return slice(top, bottom), slice(left, right), bands
 
 
 def _test_matrix(rows: int, start: int) -> np.ndarray:
@@ -271,16 +353,28 @@ def _sketch(a: np.ndarray, total: float):
     kept weights, a function that returns the sign-fixed factors (u, s, v)
     of the modes, and the discarded weight.  Returns None, holding nothing,
     once the per-block decay of the leftover weight predicts that more than
-    min(n1, n2) // _CAP_DIVISOR columns are needed.
+    min(n1, n2) // _CAP_DIVISOR columns are needed, or when the probe of
+    `_probe_gives_up` predicts more than one block beyond that.
     """
     n1, n2 = a.shape
     cap = min(n1, n2) // _CAP_DIVISOR
+    test = _test_matrix(n2, 0)
+    probe = a @ test[:, :_PROBE]
+    if _probe_gives_up(a, probe, total, cap):
+        return None
+    y = np.hstack((probe, a @ test[:, _PROBE:]))
+    del probe, test  # not held through the blocks
     q = np.empty((n1, 0))
     b = np.empty((0, n2))
     leftover = total
     while True:
-        y = a @ _test_matrix(n2, q.shape[1])
-        for _ in range(2):
+        if q.shape[1]:
+            for _ in range(2):
+                y -= q @ (q.T @ y)
+            # The QR of a rank-deficient block fills its missing directions
+            # with columns that need not be orthogonal to q; one more
+            # projection and QR keep the basis orthonormal.
+            y, _ = np.linalg.qr(y)
             y -= q @ (q.T @ y)
         y, _ = np.linalg.qr(y)
         block = y.T @ a
@@ -302,9 +396,37 @@ def _sketch(a: np.ndarray, total: float):
         blocks = math.ceil(math.log(_TAIL / leftover) / math.log(decay))
         if q.shape[1] + _BLOCK * blocks > cap:
             return None
+        y = a @ _test_matrix(n2, q.shape[1])
     # The singular values of B are those of the triangle of its transpose's QR.
     s = np.linalg.svd(np.linalg.qr(b.T, mode="r"), compute_uv=False)
     return s * s, partial(_lifted, q, b), leftover
+
+
+def _probe_gives_up(a: np.ndarray, probe: np.ndarray, total: float, cap: int) -> bool:
+    """Whether the first _PROBE sketch columns `probe` = A Omega predict more
+    than cap + _BLOCK columns.
+
+    The leftover weight of the probe's span is total - ||L^-1 Y^T A||_F^2,
+    with Y^T Y = L L^T (CholeskyQR, without forming the basis), and its
+    decay per _PROBE columns predicts the column count as the sketch's own
+    rule does per block.  A probe captures less than the top _PROBE modes,
+    so the prediction is pessimistic: without the margin of one block,
+    states at n = 256 and 300 with rho near 0.95 that one block certifies
+    would go to the Gram route.  A rank-deficient probe, whose Cholesky
+    factorization fails, predicts nothing and leaves the decision to the
+    blocks.
+    """
+    try:
+        lower = np.linalg.cholesky(probe.T @ probe)
+    except np.linalg.LinAlgError:
+        return False
+    captured = np.linalg.inv(lower) @ (probe.T @ a)
+    leftover = total - float(np.sum(np.square(captured, out=captured)))
+    decay = leftover / total
+    if not (leftover > _TAIL and decay < 1.0):
+        return False
+    steps = math.ceil(math.log(_TAIL / leftover) / math.log(decay))
+    return _PROBE * (1 + steps) > cap + _BLOCK
 
 
 def schmidt_number(weights) -> float:

@@ -38,6 +38,12 @@ def require_schmidt_number(K) -> None:
         raise DomainError(f"Schmidt number must be finite, got {K}")
 
 
+def require_symbol_count(n) -> None:
+    """Raise DomainError unless a symbol count (pairs per sample) is >= 1."""
+    if n < 1:
+        raise DomainError(f"symbol count must be >= 1, got {n}")
+
+
 def require_count(count) -> None:
     """Raise DomainError unless a requested row or weight count is >= 1."""
     if count < 1:

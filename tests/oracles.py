@@ -4,6 +4,8 @@ These helpers deliberately avoid the library's own discretization path so
 that convergence claims are checked against a second construction.
 """
 
+import math
+
 import numpy as np
 
 from cvschmidt import analytic_mode, build_grid, density, schmidt_number_from_rho
@@ -49,3 +51,19 @@ def analytic_mode_pair(params, k: int, x1, x2):
 def trapezoid_norm_error(values, x):
     """Absolute deviation of the trapezoid-rule norm of a sampled mode from 1."""
     return abs(float(np.trapezoid(np.asarray(values) ** 2, np.asarray(x))) - 1.0)
+
+
+def plain_exp_density(params, x1, x2):
+    """The bivariate normal density as one expression with full-size
+    temporaries and one plain np.exp over the whole exponent: the reference
+    that the library's in-place, block-masked evaluation must match bit for
+    bit.  Returns a float for scalar input."""
+    t1 = (np.asarray(x1, dtype=float) - params.m1) / params.sigma1
+    t2 = (np.asarray(x2, dtype=float) - params.m2) / params.sigma2
+    one_minus_r2 = (1.0 - params.rho) * (1.0 + params.rho)
+    z = t1 * t1 - 2.0 * params.rho * t1 * t2 + t2 * t2
+    norm = 2.0 * math.pi * params.sigma1 * params.sigma2 * math.sqrt(one_minus_r2)
+    out = np.exp(-z / (2.0 * one_minus_r2)) / norm
+    if out.ndim == 0:
+        return float(out)
+    return out

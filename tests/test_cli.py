@@ -227,6 +227,13 @@ class TestModes:
         assert "cannot report 160 modes: the n=400 decomposition kept 64" in err
         assert not target.exists()
 
+    def test_sigma_whose_square_underflows_is_an_input_error(self, capsys):
+        code, out, err = run_cli(capsys, "modes", "--rho", "-0.9999999999999999",
+                                 "--m2", "1e-320", "--sigma2", "1e-300")
+        assert (code, out) == (1, "")
+        assert err == ("error: sigma = 1e-300 is too small: the mode prefactor "
+                       "(K / (2 sigma^2))^(1/4) is not finite\n")
+
     @pytest.mark.parametrize("count", ["0", "-1"])
     def test_nonpositive_count_is_an_input_error(self, capsys, count):
         code, out, err = run_cli(capsys, "modes", "--n", "10", "--count", count)
@@ -272,6 +279,19 @@ class TestDecompose:
         code, out, err = run_cli(capsys, "decompose", str(path), "--count", count)
         assert (code, out) == (1, "")
         assert f"count must be >= 1, got {count}" in err
+
+    @pytest.mark.parametrize("n_symbols", ["0", "-3"])
+    def test_nonpositive_symbol_count_is_rejected_before_reading(
+            self, capsys, tmp_path, reference_params, monkeypatch, n_symbols):
+        path = tmp_path / "state.csv"
+        write_gaussian_state_file(path, reference_params, 30)
+
+        def unread(*args, **kwargs):
+            raise AssertionError("the state file was read")
+
+        monkeypatch.setattr(cli_module, "read_state_file", unread)
+        code, out, err = run_cli(capsys, "decompose", str(path), "--n-symbols", n_symbols)
+        assert (code, out, err) == (1, "", f"error: symbol count must be >= 1, got {n_symbols}\n")
 
     def test_malformed_file_reports_position_and_fails(self, capsys, tmp_path):
         path = tmp_path / "broken.csv"

@@ -14,6 +14,7 @@ from cvschmidt import (
     GeometricSpectrum,
     analytic_mode,
     analytic_weights,
+    build_grid,
     closed_form_entropy,
     density,
     hermite_function,
@@ -26,7 +27,7 @@ from cvschmidt import (
 )
 from cvschmidt import gaussian_model as gm
 from cvschmidt.gaussian_model import hermite_functions
-from oracles import analytic_mode_pair
+from oracles import analytic_mode_pair, plain_exp_density
 
 REFERENCE_K = 2.29415733870562
 REFERENCE_WEIGHTS = (
@@ -122,20 +123,6 @@ class TestDensity:
             math.sqrt(1.0 / (2.0 * math.pi)), rel=1e-15)
 
 
-def _reference_density(params, x1, x2):
-    """The density as one expression with full-size temporaries (the
-    reference the in-place evaluation must match bit for bit)."""
-    t1 = (np.asarray(x1, dtype=float) - params.m1) / params.sigma1
-    t2 = (np.asarray(x2, dtype=float) - params.m2) / params.sigma2
-    one_minus_r2 = (1.0 - params.rho) * (1.0 + params.rho)
-    z = t1 * t1 - 2.0 * params.rho * t1 * t2 + t2 * t2
-    norm = 2.0 * math.pi * params.sigma1 * params.sigma2 * math.sqrt(one_minus_r2)
-    out = np.exp(-z / (2.0 * one_minus_r2)) / norm
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 _COORDINATE = st.floats(-40.0, 40.0)
 
 
@@ -166,13 +153,57 @@ class TestInPlaceEvaluation:
     @settings(max_examples=300, deadline=None)
     def test_bit_identical_to_the_single_expression(self, params, arguments):
         x1, x2 = arguments
-        want = _reference_density(params, x1, x2)
+        want = plain_exp_density(params, x1, x2)
         got = density(params, x1, x2)
         psi = wavefunction(params, x1, x2)
         assert type(got) is type(want)
         assert np.array_equal(got, want)
         assert type(psi) is type(np.sqrt(want))
         assert np.array_equal(psi, np.sqrt(want))
+
+class TestMaskedExp:
+    """The exp runs block by block, masked where the exponent is below -746;
+    every density and wavefunction byte stays that of one plain exp."""
+
+    @staticmethod
+    def assert_same_bytes(params, x1, x2):
+        want = plain_exp_density(params, x1, x2)
+        got = density(params, x1, x2)
+        psi = wavefunction(params, x1, x2)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert type(psi) is type(np.sqrt(want))
+        assert np.asarray(psi).tobytes() == np.sqrt(want).tobytes()
+
+    @pytest.mark.parametrize("rho, span", [(0.88, 8.0), (0.9, 8.0), (0.92, 8.0), (0.998, 10.0),
+                                           (0.9995, 10.0), (-0.9995, 10.0)])
+    def test_grid_bands_at_n_1000(self, rho, span):
+        params = GaussianParams(m1=0.3, m2=-0.2, sigma1=1.7, sigma2=0.8, rho=rho)
+        grid = build_grid(params, 1000, span=span)
+        self.assert_same_bytes(params, grid.midpoints1[:, None], grid.midpoints2[None, :])
+
+    def test_blocks_mixing_the_plain_and_masked_paths(self):
+        # Exponent -x^2 / 2: the first block stays above -708 (plain exp),
+        # later ones reach past -746 (masked), through the subnormal range.
+        x = np.linspace(0.0, 60.0, 3 * gm._EXP_BLOCK)
+        exponents = -0.5 * x * x
+        blocks = [exponents[i:i + gm._EXP_BLOCK] for i in range(0, x.size, gm._EXP_BLOCK)]
+        assert blocks[0].min() >= -708.0
+        assert blocks[1].min() < -746.0 and blocks[1].max() > -708.0
+        assert np.any((exponents > -745.0) & (exponents < -708.0))
+        self.assert_same_bytes(GaussianParams(), x, 0.0)
+
+    @pytest.mark.parametrize("x1, x2", [
+        (np.linspace(-40.0, 40.0, 300)[:, None, None], np.linspace(-9.0, 9.0, 250)[None, :, None]
+         * np.array([1.0, -2.0, 0.5])),
+        (np.linspace(-30.0, 30.0, 70_001), np.array([[0.0], [3.0]])),
+        (0.25, -0.5),
+        (np.array(40.0), 0.0),
+        (np.empty((0, 3)), 1.0),
+    ])
+    def test_broadcast_shapes_and_scalars(self, x1, x2):
+        self.assert_same_bytes(GaussianParams(m1=0.5, sigma1=0.7, rho=0.999), x1, x2)
+
 
 class TestSchmidtNumberMaps:
     def test_uncorrelated_gives_unit_schmidt_number(self):
@@ -353,6 +384,23 @@ class TestSchmidtModes:
             np.testing.assert_array_equal(f1_pos, f1_neg)
             expected = -f2_pos if k % 2 else f2_pos
             np.testing.assert_allclose(f2_neg, expected, rtol=0.0, atol=1e-15)
+
+    # 2 sigma^2 underflows to 0; is subnormal; is normal, but K / (2 sigma^2)
+    # overflows.
+    @pytest.mark.parametrize("sigma, K", [(1e-300, 2.0), (1e-160, 2.0), (1e-150, 1e10)])
+    def test_sigma_without_a_finite_prefactor_is_rejected(self, sigma, K):
+        with pytest.raises(DomainError, match="prefactor .* is not finite"):
+            analytic_mode(0, 0.0, sigma, K, 0.0)
+
+    def test_mode_walk_rejects_a_sigma_whose_square_underflows(self):
+        params = GaussianParams(m2=1e-320, sigma2=1e-300, rho=-0.9999999999999999)
+        with pytest.raises(DomainError, match="prefactor .* is not finite"):
+            next(gm.analytic_modes(params, 2, 0.0))
+
+    def test_every_other_sigma_keeps_its_prefactor(self):
+        for sigma in (1e-150, 1e-3, 0.5):
+            assert analytic_mode(0, 0.0, sigma, 2.0, 0.0) == (
+                (2.0 / (2.0 * sigma * sigma)) ** 0.25 * math.pi ** -0.25)
 
     @pytest.mark.parametrize("axis", [0, 3, -1, 1.5])
     def test_mode_walk_rejects_an_axis_other_than_1_or_2(self, axis):

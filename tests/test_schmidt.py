@@ -188,10 +188,12 @@ class TestDecompose:
 
 
 CERTIFIED_CASES = [(n, rho) for n in (300, 1000) for rho in (0.9, 0.998, 0.9995)]
-# Cases whose tail decays fast enough for the randomized factorization;
-# the others need more than min(n1, n2) // 4 columns and take the Gram
-# eigenvalues, with the modes deferred to a dense SVD.
-SKETCHED = {(300, 0.9), (1000, 0.9)}
+CERTIFIED_CASES += [(1000, 0.97), (1000, 0.99)]
+# Cases whose tail decays fast enough for the randomized factorization
+# (n = 1000 at rho 0.97 and 0.99 takes two blocks); the others need more
+# than min(n1, n2) // 4 columns and take the Gram eigenvalues, with the
+# modes deferred to a dense SVD.
+SKETCHED = {(300, 0.9), (1000, 0.9), (1000, 0.97), (1000, 0.99)}
 
 
 @pytest.fixture(scope="module", params=CERTIFIED_CASES, ids=lambda c: f"n{c[0]}-rho{c[1]}")
@@ -266,7 +268,8 @@ class TestCertificate:
         spectrum = decompose(unit_square_state(noise / np.linalg.norm(noise)))
         assert spectrum.rank == 300
         assert spectrum.discarded_weight == 0.0
-        assert len(blocks) == 1
+        # The 16-column probe predicts the fallback before any block's QR.
+        assert len(blocks) == 0
 
     def test_one_sum_of_squares_per_sketched_decompose(self, reference_params, monkeypatch):
         calls = []
@@ -293,6 +296,74 @@ class TestCertificate:
         assert spectrum.modes1.tobytes() == u.tobytes()
         assert spectrum.modes2.tobytes() == v.tobytes()
         assert spectrum.discarded_weight == discarded
+
+
+class TestRouteProbe:
+    """Before the first block, 16 sketch columns predict the column count;
+    past the cap by more than one block the Gram route starts at once."""
+
+    @pytest.fixture
+    def qr_calls(self, monkeypatch):
+        calls = []
+        qr = np.linalg.qr
+
+        def spy(a, *args, **kwargs):
+            calls.append(a.shape)
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", spy)
+        return calls
+
+    def test_probe_sends_a_highk_state_to_the_gram_route(self, qr_calls):
+        params = GaussianParams(m1=1.0, m2=-1.0, sigma1=2.0, sigma2=1.0, rho=0.9995)
+        state = gaussian_state(params, 1000, span=10.0)
+        assert schmidt_module._sketch(state.amplitudes, state._squared_norm) is None
+        spectrum = decompose(state)
+        assert spectrum.rank == 1000 and spectrum.discarded_weight == 0.0
+        assert qr_calls == []
+
+    @pytest.mark.parametrize("rho", [0.88, 0.9, -0.92])
+    def test_lowk_state_keeps_the_single_block_bytes(self, rho, qr_calls):
+        # The probe's 16 columns are the first 16 of the block's test matrix;
+        # the block, its QR and the R-SVD are those of one 64-column block.
+        params = GaussianParams(m1=0.3, m2=-0.2, sigma1=1.7, sigma2=0.8, rho=rho)
+        state = gaussian_state(params, 1000, span=8.0)
+        a = state.amplitudes
+        spectrum = decompose(state)
+        assert qr_calls == [(1000, 64), (1000, 64)]
+        y, _ = np.linalg.qr(a @ schmidt_module._test_matrix(1000, 0))
+        b = y.T @ a
+        s = np.linalg.svd(np.linalg.qr(b.T, mode="r"), compute_uv=False)
+        u, _, v = schmidt_module._lifted(y, b)
+        assert spectrum.rank == 64 and 0.0 < spectrum.discarded_weight <= 1e-14
+        assert spectrum.weights.tobytes() == (s * s).tobytes()
+        assert spectrum.modes1.tobytes() == u.tobytes()
+        assert spectrum.modes2.tobytes() == v.tobytes()
+
+    @pytest.mark.parametrize("rho", [0.95, -0.96])
+    def test_one_block_margin_keeps_the_sketch_route(self, rho):
+        # At n = 256 the cap is one block.  The probe captures less than the
+        # top 16 modes and predicts more than 64 columns, but not more than
+        # 128; one block then certifies the state.
+        params = GaussianParams(m1=1.0, m2=-1.0, sigma1=2.0, sigma2=1.0, rho=rho)
+        state = gaussian_state(params, 256, span=8.0)
+        a, total = state.amplitudes, state._squared_norm
+        probe = a @ schmidt_module._test_matrix(256, 0)[:, :16]
+        assert schmidt_module._probe_gives_up(a, probe, total, 0)
+        assert not schmidt_module._probe_gives_up(a, probe, total, 64)
+        spectrum = decompose(state)
+        assert spectrum.rank == 64 and 0.0 < spectrum.discarded_weight <= 1e-14
+
+    def test_rank_deficient_probe_leaves_the_route_to_the_blocks(self, qr_calls):
+        # A rank-8 state: the probe's 16 x 16 Gram matrix is singular.
+        state = unit_square_state(np.eye(300)[:, :8] @ np.eye(8, 300) / math.sqrt(8.0))
+        probe = state.amplitudes @ schmidt_module._test_matrix(300, 0)[:, :16]
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(probe.T @ probe)
+        spectrum = decompose(state)
+        assert qr_calls[0] == (300, 64)
+        assert spectrum.rank == 64 and spectrum.discarded_weight <= 1e-14
+        np.testing.assert_allclose(spectrum.weights[:8], 0.125, atol=1e-14)
 
 
 class TestDeferredSketchModes:
@@ -410,7 +481,7 @@ class TestDeferredModes:
 
 
 def window_of(state):
-    return schmidt_module._window(state.amplitudes, state._squared_norm)
+    return schmidt_module._window(state.amplitudes, state._squared_norm)[:2]
 
 
 def removed_mass(a, window):
@@ -453,6 +524,67 @@ class TestGramWindow:
         spectrum = decompose(state)
         expected = np.maximum(np.linalg.eigvalsh(a.T @ a)[::-1], 0.0)
         assert spectrum.weights.tobytes() == expected.tobytes()
+
+    def test_gram_is_summed_over_the_nonzero_bands(self, gaussian, monkeypatch):
+        state, _, dense = gaussian
+        a = state.amplitudes
+        seen = {}
+        window = schmidt_module._window
+        eigvalsh = np.linalg.eigvalsh
+
+        def window_spy(*args):
+            seen["window"] = window(*args)
+            return seen["window"]
+
+        def eigvalsh_spy(gram, *args, **kwargs):
+            seen["gram"] = gram.copy()
+            return eigvalsh(gram, *args, **kwargs)
+
+        monkeypatch.setattr(schmidt_module, "_window", window_spy)
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh_spy)
+        weights = decompose(state).weights
+        assert float(np.max(np.abs(weights - dense))) <= 1e-14
+        rows, cols, bands = seen["window"]
+        w = a[rows, cols]
+        m1, m2 = w.shape
+        assert m2 <= m1
+        # The products cover every nonzero square and no all-zero column
+        # range: each band's first and last columns hold a nonzero square.
+        covered = np.zeros(w.shape, dtype=bool)
+        multiplied = 0
+        for band_rows, band_cols in bands:
+            squares = w[band_rows, band_cols] ** 2
+            assert np.any(squares[:, 0] > 0.0) and np.any(squares[:, -1] > 0.0)
+            covered[band_rows, band_cols] = True
+            multiplied += squares.size
+        assert not np.any(w[~covered] ** 2 > 0.0)
+        assert multiplied < 0.5 * m1 * m2
+        # The Gram matrix is the sum of the bands' products, band by band.
+        expected = np.zeros((m2, m2))
+        for band_rows, band_cols in bands:
+            part = w[band_rows, band_cols]
+            expected[band_cols, band_cols] += part.T @ part
+        assert seen["gram"].tobytes() == expected.tobytes()
+        assert float(np.max(np.abs(seen["gram"] - w.T @ w))) <= 1e-15
+
+    def test_wide_window_sums_column_bands(self, gaussian):
+        # The fixture's window is 830 x 829, so its transpose's is wide:
+        # W W^T is summed over column slices whose rows cover their squares.
+        state, _, dense = gaussian
+        a = np.ascontiguousarray(state.amplitudes.T)
+        total = discretize._sum_of_squares(a)
+        rows, cols, bands = schmidt_module._window(a, total)
+        w = a[rows, cols]
+        assert w.shape[1] > w.shape[0]
+        column_bands = schmidt_module._column_bands(bands, w.shape[1])
+        covered = np.zeros(w.shape, dtype=bool)
+        for band_cols, band_rows in column_bands:
+            assert not np.any(covered[:, band_cols])
+            covered[band_rows, band_cols] = True
+        assert not np.any(w[~covered] ** 2 > 0.0)
+        assert np.count_nonzero(covered) < 0.5 * w.size
+        weights = schmidt_module._gram_weights(a, total)
+        assert float(np.max(np.abs(weights - dense))) <= 1e-14
 
     def test_gaussian_window_drops_at_most_eps(self, gaussian):
         state, spectrum, dense = gaussian
