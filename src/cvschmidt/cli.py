@@ -252,8 +252,14 @@ def thermo_command(beta_min, beta_max, points, log_base, output_format, output_p
         K_from_beta(bound)
     if points > MAX_SWEEP_POINTS:
         raise DomainError(f"points = {points} exceeds the budget of {MAX_SWEEP_POINTS}")
+    # np.geomspace takes a power per point and then sets both ends exactly;
+    # near the float limit that power overflows for an end, or for an
+    # inner point that lies within rounding of beta_max.
+    with np.errstate(over="ignore"):
+        betas = np.geomspace(beta_min, beta_max, points)
+    betas[np.isinf(betas)] = beta_max
     rows = []
-    for beta in np.geomspace(beta_min, beta_max, points).tolist():
+    for beta in betas.tolist():
         rows.append([beta, K_from_beta(beta), rho_squared_from_beta(beta),
                      oscillator_entropy(beta, log_base)])
     columns = ["beta", "K", "rho_squared", "entropy"]

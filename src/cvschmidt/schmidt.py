@@ -14,28 +14,38 @@ how fast the spectrum decays:
   blocked form of Yu, Gu & Li, SIAM J. Matrix Anal. Appl. 39:1339, 2018).
   It grows an orthonormal basis Q of axis-1 vectors, 64 columns of a fixed
   pseudo-random sketch at a time, and stops once the residual
-  ||A - Q Q^T A||_F^2, computed directly, is at most 1e-14.  Each block
-  after the first is projected twice against Q, factored by QR, then
-  projected once more and factored again: the QR of a rank-deficient block
+  ||A - Q Q^T A||_F^2, computed directly, is at most 1e-14.  A block Y of
+  m rows and n = 64 columns is orthonormalized by CholeskyQR: a pass
+  replaces Y by Y L^-T with L L^T = Y^T Y, two BLAS-3 products around a
+  64 x 64 Cholesky factor.  A sketch block has numerical rank ~35 of 64
+  on a typical state, so Y^T Y is singular to rounding; the first two
+  passes add 11 (m n + n (n + 1)) eps tr(Y^T Y) to its diagonal, which
+  keeps it positive definite, and two plain passes follow (shifted
+  CholeskyQR; Fukaya, Kannan, Nakatsukasa, Yamamoto & Yanagisawa, SIAM J.
+  Sci. Comput. 42:A477, 2020).  The basis is then orthonormal to ~5e-15,
+  and at n = 1000 on 2 CPUs the four passes take 1-3 ms where Householder
+  QR took 5-6 ms.  A block that is exactly rank-deficient, such as one of
+  a rank-8 state, still makes a Cholesky factorization fail; that block
+  alone takes Householder QR (`np.linalg.qr`).  Each block after the first
+  is projected twice against Q, orthonormalized, then projected once more
+  and given one more plain pass: orthonormalizing a rank-deficient block
   fills its missing directions with columns that need not be orthogonal
   to Q.  Until then the leftover is tracked as the state's own row-blocked
   squared norm minus the squares of each block of Q^T A.  The state has unit norm, so that
   residual is exactly the Schmidt weight the truncation drops; it is
-  reported as `discarded_weight`.  The kept weights are the squared
-  singular values of the small r x n2 block B = Q^T A, taken values-only
-  from the r x r triangle R of the QR factorization B^T = Q_2 R (Chan's
-  R-SVD, ACM Trans. Math. Softw. 8:72, 1982; Halko, Martinsson & Tropp,
-  section 5): B and R^T share their singular values, and at n = 1000 on
-  2 CPUs that takes 4 ms for 64 columns against 13 ms for the SVD of B
-  with vectors.  The modes are not computed until one is first read; that
-  read runs the thin SVD of B, lifts its axis-1 vectors by Q and keeps
-  the factors.  Their singular values, which `reconstruct` uses, differ
-  from the square roots of the weights by rounding: over 92 sketched
-  states (n 256 to 1500, rho -0.95 to 0.9995, spans 8 and 10) the weights
-  and the squared singular values differed by at most 1.9e-15, and the
-  weights and the dense SVD's by at most 1.1e-15.  By interlacing, in
-  exact arithmetic every kept weight lies within `discarded_weight` below
-  the dense one, far inside every tolerance downstream.
+  reported as `discarded_weight`.  The kept weights are the eigenvalues
+  of the r x r Gram matrix B B^T of the small r x n2 block B = Q^T A, read
+  as on the Gram route below (0.4 ms at r = 64, where the values-only SVD
+  of B's R factor took 3 ms).  The modes are not computed until one is
+  first read; that read runs the thin SVD of B, lifts its axis-1 vectors
+  by Q and keeps the factors.  Their singular values, which `reconstruct`
+  uses, differ from the square roots of the weights by rounding: over 142
+  sketched states (n 256 to 1500, rho -0.95 to 0.9995, spans 8 and 10)
+  the weights and the squared singular values differed by at most
+  2.0e-15, and the weights and the dense SVD's by at most 1.7e-15.  By
+  interlacing, in exact arithmetic every kept weight lies within
+  `discarded_weight` below the dense one, far inside every tolerance
+  downstream.
 - When the leftover weight decays so slowly per block that more than
   min(n1, n2) // 4 columns would be needed, the sketch gives up and the
   weights are Gram eigenvalues, in non-increasing order with negative
@@ -108,6 +118,12 @@ _CAP_DIVISOR = 4
 # Sketch columns of the probe that may send a grid to the Gram route
 # before the first block is factored (see `_probe_gives_up`).
 _PROBE = 16
+# CholeskyQR passes of a sketch block, shifted or not (see `_orthonormal`):
+# two shifted passes make a rank-deficient block well conditioned, and two
+# plain ones make it orthonormal to rounding.
+_SHIFTS = (True, True, False, False)
+# Float64 machine epsilon: the CholeskyQR shift's unit and the Gram window's cut.
+_EPS = float(np.finfo(float).eps)
 
 
 class SchmidtSpectrum:
@@ -240,7 +256,7 @@ def _gram_weights(a: np.ndarray, total: float) -> np.ndarray:
             part = window[band_rows, band_cols]
             gram[band_rows, band_rows] += part @ part.T
     weights = np.zeros(min(a.shape))
-    weights[:gram.shape[0]] = np.maximum(np.linalg.eigvalsh(gram)[::-1], 0.0)
+    weights[:gram.shape[0]] = _eigenvalues(gram)
     return weights
 
 
@@ -307,7 +323,7 @@ def _window(a: np.ndarray, total: float):
     edges = (rows.tolist(), rows[::-1].tolist(), cols.tolist(), cols[::-1].tolist())
     cuts = [0, 0, 0, 0]
     heads = [masses[0] for masses in edges]
-    budget = np.finfo(float).eps * total
+    budget = _EPS * total
     spent = 0.0
     while True:
         mass = min(heads)
@@ -368,15 +384,17 @@ def _sketch(a: np.ndarray, total: float):
     b = np.empty((0, n2))
     leftover = total
     while True:
+        shifts = _SHIFTS
         if q.shape[1]:
             for _ in range(2):
                 y -= q @ (q.T @ y)
-            # The QR of a rank-deficient block fills its missing directions
-            # with columns that need not be orthogonal to q; one more
-            # projection and QR keep the basis orthonormal.
-            y, _ = np.linalg.qr(y)
+            # Orthonormalizing a rank-deficient block fills its missing
+            # directions with columns that need not be orthogonal to q; one
+            # more projection and CholeskyQR pass keep the basis orthonormal.
+            y = _orthonormal(y, shifts)
             y -= q @ (q.T @ y)
-        y, _ = np.linalg.qr(y)
+            shifts = (False,)
+        y = _orthonormal(y, shifts)
         block = y.T @ a
         q = np.hstack((q, y))
         b = np.vstack((b, block))
@@ -397,9 +415,37 @@ def _sketch(a: np.ndarray, total: float):
         if q.shape[1] + _BLOCK * blocks > cap:
             return None
         y = a @ _test_matrix(n2, q.shape[1])
-    # The singular values of B are those of the triangle of its transpose's QR.
-    s = np.linalg.svd(np.linalg.qr(b.T, mode="r"), compute_uv=False)
-    return s * s, partial(_lifted, q, b), leftover
+    return _eigenvalues(b @ b.T), partial(_lifted, q, b), leftover
+
+
+def _orthonormal(y: np.ndarray, shifts) -> np.ndarray:
+    """Orthonormal columns spanning those of `y`: one CholeskyQR pass per
+    entry of `shifts`, or, when a Cholesky factorization fails, the Q of
+    `np.linalg.qr(y)`.
+
+    A pass replaces Y by Y L^-T with L L^T = Y^T Y + s I; a shifted pass
+    takes s = 11 (m n + n (n + 1)) eps tr(Y^T Y) for an m x n block, which
+    keeps the Gram matrix positive definite however rank-deficient Y is
+    (Fukaya, Kannan, Nakatsukasa, Yamamoto & Yanagisawa, SIAM J. Sci.
+    Comput. 42:A477, 2020).
+    """
+    basis = y
+    try:
+        for shifted in shifts:
+            gram = basis.T @ basis
+            if shifted:
+                m, n = basis.shape
+                gram[np.diag_indices(n)] += 11.0 * (m * n + n * (n + 1)) * _EPS * np.trace(gram)
+            basis = basis @ np.linalg.inv(np.linalg.cholesky(gram)).T
+    except np.linalg.LinAlgError:
+        basis, _ = np.linalg.qr(y)
+    return basis
+
+
+def _eigenvalues(gram: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the symmetric `gram`, non-increasing, with negative
+    rounding dust set to 0."""
+    return np.maximum(np.linalg.eigvalsh(gram)[::-1], 0.0)
 
 
 def _probe_gives_up(a: np.ndarray, probe: np.ndarray, total: float, cap: int) -> bool:
@@ -463,10 +509,9 @@ def reconstruct(spectrum: SchmidtSpectrum, rank: int) -> np.ndarray:
 
     s_k are the singular values of the factorization that gave the modes,
     so s_k**2 = lambda_k on the dense route.  On the sketch and Gram routes
-    the weights come from a values-only factorization (the R-SVD of the
-    sketch block, or the Gram eigenvalues of a window) and differ by
-    rounding: the square root of a ~1e-17 eigenvalue would not pair with
-    its singular vectors.  The result is not renormalized: its Frobenius distance to the
+    the weights are Gram eigenvalues (of the sketch block, or of a window)
+    and differ by rounding: the square root of a ~1e-17 eigenvalue would
+    not pair with its singular vectors.  The result is not renormalized: its Frobenius distance to the
     original amplitude matrix is the truncated tail, squared residual =
     sum_{k>=rank} lambda_k + discarded_weight.
     """

@@ -606,3 +606,25 @@ class TestSubprocessEntryPoint:
     def test_input_error_exit_code(self):
         result = self.run("decompose", "/nonexistent/state.csv")
         assert result.returncode == 1
+
+    def test_thermo_sweep_to_the_largest_float_prints_no_warning(self):
+        largest = "1.7976931348623157e308"
+        result = self.run("thermo", "--beta-max", largest, "--points", "3")
+        assert (result.returncode, result.stderr) == (0, "")
+        betas = [line.split(",")[0] for line in result.stdout.splitlines()[1:]]
+        assert betas == ["0.001", "4.2399211488686055e+152", "1.7976931348623157e+308"]
+        # Every point's power overflows when both ends are the largest float.
+        result = self.run("thermo", "--beta-min", largest, "--beta-max", largest,
+                          "--points", "3")
+        assert (result.returncode, result.stderr) == (0, "")
+        betas = [line.split(",")[0] for line in result.stdout.splitlines()[1:]]
+        assert betas == ["1.7976931348623157e+308"] * 3
+
+    @pytest.mark.parametrize("argv", [
+        ("table1", "--rho", "1e-300", "--m1", "5e-324", "--sigma1", "1e-320", "--count", "3"),
+        ("mutual-info", "--sigma1", "1e-300", "--span", "1e300", "--n", "3"),
+    ])
+    def test_density_past_the_float_range_is_one_error_line(self, argv):
+        result = self.run(*argv)
+        assert result.returncode == 1
+        assert result.stderr.splitlines() == ["error: amplitude function must be finite on the grid"]

@@ -387,14 +387,15 @@ class TestShannonMiNumeric:
         assert shannon_mi_numeric(joint, 2) == pytest.approx(
             shannon_mi_numeric(joint) / math.log(2.0), rel=1e-14)
 
-    def test_zero_marginal_cell_rejected(self):
-        # p1 * p2 = 1e-640 vanishes and the ratio p / (p1 * p2) overflows.
+    def test_cell_alone_in_its_row_and_column_gives_the_exact_information(self):
+        # p1 * p2 = 1e-640 vanishes, but no ratio p / (p1 * p2) is formed:
+        # the entropy identity gives p log(1 / p) = 1e-320 ln 1e320.
         joint = np.array([[1e-320, 0.0], [0.0, 1.0]])
-        with pytest.raises(DomainError, match="outside the float range"):
-            shannon_mi_numeric(joint)
+        assert shannon_mi_numeric(joint) == pytest.approx(
+            1e-320 * 320.0 * math.log(10.0), rel=1e-14)
 
     def test_underflowing_marginal_product_is_accepted(self):
-        # p1 * p2 = 1e-340 underflows, but (p / p1) / p2 = 1e170 does not.
+        # p1 * p2 = 1e-340 would underflow; the entropy identity forms no product.
         joint = np.array([[1e-170, 0.0], [0.0, 1.0 - 1e-170]])
         assert shannon_mi_numeric(joint) == pytest.approx(
             1e-170 * 170.0 * math.log(10.0), rel=1e-14)

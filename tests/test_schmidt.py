@@ -27,6 +27,7 @@ from cvschmidt import (
 )
 from cvschmidt import discretize
 from cvschmidt import schmidt as schmidt_module
+from oracles import analytic_mode_pair
 
 REFERENCE_K = 2.29415733870562
 
@@ -48,6 +49,15 @@ def svd_calls(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", spy)
     return calls
+
+
+def cholesky_qr_pass(y, shifted):
+    """Y L^-T with L L^T = Y^T Y, plus 11 (m n + n (n + 1)) eps tr(Y^T Y) I when shifted."""
+    gram = y.T @ y
+    if shifted:
+        m, n = y.shape
+        gram[np.diag_indices(n)] += 11.0 * (m * n + n * (n + 1)) * np.finfo(float).eps * np.trace(gram)
+    return y @ np.linalg.inv(np.linalg.cholesky(gram)).T
 
 
 def unit_square_state(amplitudes):
@@ -161,16 +171,18 @@ class TestDecompose:
         noise = np.random.default_rng(5).standard_normal((300, 300))
         cases = [
             # Dense SVD of a small grid.
-            (unit_square_state(np.full((2, 2), 0.5)), "svd"),
-            # Sketch QR, and the values-only SVD of the block's triangle.
-            (gaussian_state(reference_params, 300), "qr"),
-            (gaussian_state(reference_params, 300), "svd"),
+            (unit_square_state(np.full((2, 2), 0.5)), ("svd",)),
+            # The sketch basis: CholeskyQR and its Householder QR fallback.
+            (gaussian_state(reference_params, 300), ("cholesky", "qr")),
+            # The sketch weights, eigenvalues of the block's Gram matrix.
+            (gaussian_state(reference_params, 300), ("eigvalsh",)),
             # Gram eigenvalues after the sketch gave up.
-            (unit_square_state(noise / np.linalg.norm(noise)), "eigvalsh"),
+            (unit_square_state(noise / np.linalg.norm(noise)), ("eigvalsh",)),
         ]
-        for state, name in cases:
+        for state, names in cases:
             with monkeypatch.context() as patch:
-                patch.setattr(np.linalg, name, failing)
+                for name in names:
+                    patch.setattr(np.linalg, name, failing)
                 with pytest.raises(NumericalError):
                     decompose(state)
         # The SVDs that the Gram and sketch routes defer to the first mode
@@ -298,6 +310,66 @@ class TestCertificate:
         assert spectrum.discarded_weight == discarded
 
 
+class TestSketchModesAgainstTheOracle:
+    """Sketch-route modes against the Hermite modes, within Wedin's bound.
+
+    Let A_hat = U_hat S V_hat^T be the oracle on the grid: the analytic modes
+    scaled by sqrt(dx), orthonormalized (which changes the first tens of
+    them by rounding only), with s_k = sqrt(lambda_k).  Its singular vectors
+    are those columns.  The sketch's modes are exact singular vectors of
+    A_num = U S V^T, the spectrum's own synthesis, up to the orthonormality
+    defects D of U and V.  With eps = ||A - A_hat||_F + ||A - A_num||_F
+    + ||D_U||_F + ||D_V||_F, every numerical singular value lies within eps
+    of the oracle's (Weyl), so mode k is separated from the others by at
+    least delta_k = s_k - s_{k+1} - eps, where s_k - s_{k+1} =
+    lambda_k (1 - q) / (s_k + s_{k+1}).  Wedin's sin theta theorem then
+    puts each sign-aligned mode within 2 eps / delta_k of the oracle's
+    singular vector, and that within the orthonormalization's change of
+    the analytic mode.
+    """
+
+    @pytest.mark.parametrize("rho, rank", [(0.9, 64), (-0.95, 64), (0.97, 128)])
+    def test_modes_lie_within_the_wedin_bound(self, rho, rank):
+        params = GaussianParams(m1=1.0, m2=-1.0, sigma1=2.0, sigma2=1.0, rho=rho)
+        state = gaussian_state(params, 1000, span=10.0)
+        spectrum = decompose(state)
+        assert spectrum.rank == rank and 0.0 < spectrum.discarded_weight <= 1e-14
+        grid = state.grid
+        spec = GeometricSpectrum.from_K(params.schmidt_number)
+        # Past this many modes the oracle's left-out weight is below 1e-40.
+        count = math.ceil(math.log(1e-40) / math.log(spec.q))
+        singular = np.sqrt(spec.lambda0 * spec.q ** np.arange(count + 1))
+        pairs = [analytic_mode_pair(params, k, grid.midpoints1, grid.midpoints2)
+                 for k in range(count)]
+        sampled = [np.column_stack([pair[axis] for pair in pairs]) * math.sqrt(dx)
+                   for axis, dx in ((0, grid.dx1), (1, grid.dx2))]
+        exact = []
+        for modes in sampled:
+            q, r = np.linalg.qr(modes)
+            exact.append(q * np.sign(np.diag(r)))
+        oracle = (exact[0] * singular[:count]) @ exact[1].T
+        numeric = (spectrum.modes1, spectrum.modes2)
+        eps = (np.linalg.norm(state.amplitudes - oracle)
+               + np.linalg.norm(state.amplitudes - reconstruct(spectrum, rank))
+               + sum(np.linalg.norm(m.T @ m - np.eye(rank)) for m in numeric))
+        checked = 0
+        for k in range(rank):
+            gap = (singular[k] ** 2 * (1.0 - spec.q) / (singular[k] + singular[k + 1])
+                   - eps)
+            shift = max(float(np.max(np.abs(e[:, k] - m[:, k])))
+                        for e, m in zip(exact, sampled))
+            bound = 2.0 * eps / gap + shift if gap > 0.0 else math.inf
+            if bound >= 1.0:
+                break
+            for modes, reference in zip(numeric, sampled):
+                column = modes[:, k]
+                if float(np.dot(column, reference[:, k])) < 0.0:
+                    column = -column
+                assert float(np.max(np.abs(column - reference[:, k]))) <= bound
+            checked += 1
+        assert checked >= 40
+
+
 class TestRouteProbe:
     """Before the first block, 16 sketch columns predict the column count;
     past the cap by more than one block the Gram route starts at once."""
@@ -325,18 +397,21 @@ class TestRouteProbe:
     @pytest.mark.parametrize("rho", [0.88, 0.9, -0.92])
     def test_lowk_state_keeps_the_single_block_bytes(self, rho, qr_calls):
         # The probe's 16 columns are the first 16 of the block's test matrix;
-        # the block, its QR and the R-SVD are those of one 64-column block.
+        # the block, its two shifted and two plain CholeskyQR passes and the
+        # Gram eigenvalues are those of one 64-column block.
         params = GaussianParams(m1=0.3, m2=-0.2, sigma1=1.7, sigma2=0.8, rho=rho)
         state = gaussian_state(params, 1000, span=8.0)
         a = state.amplitudes
         spectrum = decompose(state)
-        assert qr_calls == [(1000, 64), (1000, 64)]
-        y, _ = np.linalg.qr(a @ schmidt_module._test_matrix(1000, 0))
+        assert qr_calls == []
+        y = a @ schmidt_module._test_matrix(1000, 0)
+        for shifted in (True, True, False, False):
+            y = cholesky_qr_pass(y, shifted)
         b = y.T @ a
-        s = np.linalg.svd(np.linalg.qr(b.T, mode="r"), compute_uv=False)
+        weights = np.maximum(np.linalg.eigvalsh(b @ b.T)[::-1], 0.0)
         u, _, v = schmidt_module._lifted(y, b)
         assert spectrum.rank == 64 and 0.0 < spectrum.discarded_weight <= 1e-14
-        assert spectrum.weights.tobytes() == (s * s).tobytes()
+        assert spectrum.weights.tobytes() == weights.tobytes()
         assert spectrum.modes1.tobytes() == u.tobytes()
         assert spectrum.modes2.tobytes() == v.tobytes()
 
@@ -365,10 +440,20 @@ class TestRouteProbe:
         assert spectrum.rank == 64 and spectrum.discarded_weight <= 1e-14
         np.testing.assert_allclose(spectrum.weights[:8], 0.125, atol=1e-14)
 
+    def test_only_a_rank_deficient_block_takes_householder_qr(self, qr_calls):
+        # A lowk block's Cholesky factors all exist; a rank-8 block's
+        # unshifted Gram matrix is singular, so that block falls back to QR.
+        params = GaussianParams(m1=0.3, m2=-0.2, sigma1=1.7, sigma2=0.8, rho=0.9)
+        assert decompose(gaussian_state(params, 1000, span=8.0)).rank == 64
+        assert qr_calls == []
+        decompose(unit_square_state(np.eye(300)[:, :8] @ np.eye(8, 300) / math.sqrt(8.0)))
+        assert qr_calls == [(300, 64)]
+
 
 class TestDeferredSketchModes:
-    """On the sketch route the weights cost a values-only SVD of an r x r
-    triangle, and the modes cost one SVD of the r x n2 block, on first read."""
+    """On the sketch route the weights cost the eigenvalues of the r x r Gram
+    matrix B B^T, and the modes cost one SVD of the r x n2 block B, on first
+    read."""
 
     @pytest.fixture(scope="class", params=[(400, 0.9), (1000, 0.97)],
                     ids=lambda c: f"n{c[0]}-rho{c[1]}")
@@ -383,7 +468,7 @@ class TestDeferredSketchModes:
         entanglement_entropy(spectrum.weights)
         r = spectrum.rank
         assert r < state.grid.n1 and spectrum.discarded_weight <= 1e-14
-        assert svd_calls == [((r, r), {"compute_uv": False})]
+        assert svd_calls == []
 
     def test_modes_cost_one_svd_of_the_block_on_first_read(self, state, svd_calls):
         spectrum = decompose(state)
@@ -409,10 +494,9 @@ class TestDeferredSketchModes:
         assert spectrum.modes2.tobytes() == v.tobytes()
         rebuilt = (u[:, :r] * s[:r]) @ v[:, :r].T
         assert reconstruct(spectrum, rank=r).tobytes() == rebuilt.tobytes()
-        # The weights are the values-only R-SVD's; they match s**2 to rounding.
-        triangle = np.linalg.qr(b.T, mode="r")
-        values = np.linalg.svd(triangle, compute_uv=False)
-        assert weights.tobytes() == (values * values).tobytes()
+        # The weights are the Gram eigenvalues of B; they match s**2 to rounding.
+        values = np.maximum(np.linalg.eigvalsh(b @ b.T)[::-1], 0.0)
+        assert weights.tobytes() == values.tobytes()
         assert float(np.max(np.abs(weights - s * s))) <= 1e-14
 
 
