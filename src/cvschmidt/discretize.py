@@ -171,73 +171,88 @@ def build_grid(params: GaussianParams, n: int, span: float = 6.0) -> GridSpec:
     )
 
 
-def _evaluate_on_grid(f, grid: GridSpec) -> np.ndarray:
-    x1 = grid.midpoints1
-    x2 = grid.midpoints2
-    shape = (grid.n1, grid.n2)
-    try:
-        values = np.asarray(f(x1[:, None], x2[None, :]), dtype=float)
-    except (TypeError, ValueError):
-        # Fall back for amplitude functions that only accept scalars.
-        return np.array([[_cell_value(f, a, b) for b in x2] for a in x1])
-    try:
-        # A read-only view, not a copy: nothing downstream writes into `values`.
-        return np.broadcast_to(values, shape)
-    except ValueError:
-        raise DomainError(f"amplitude function returned shape {values.shape}, which does "
-                          f"not broadcast to the grid shape {shape}") from None
-
-
-def _cell_value(f, a, b) -> float:
-    """f(a, b) for an amplitude function that only accepts scalars; one number."""
-    value = f(a, b)
-    try:
-        return float(np.asarray(value, dtype=float).reshape(()))
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"amplitude function returned {value!r} at ({a}, {b}), "
-                          "not one number") from exc
-
-
 def sample_state(f, grid: GridSpec) -> DiscretizedState:
     """Sample an amplitude function at cell midpoints into a normalized state.
 
     The matrix is f at midpoints times sqrt(cell area), rescaled to unit
     Frobenius norm.  The output is invariant under scaling f by any positive
     constant.
+
+    `f` must be pointwise and accept broadcasting arrays: it is called once
+    per block of whole rows (about 2**16 cells) with x1 of shape (r, 1) and
+    x2 of shape (1, n2), and its result must broadcast to (r, n2).  Wrap a
+    function of scalars in `np.vectorize`.  Each block is written straight
+    into the state's array and its squares are summed while it is in cache,
+    so the state is the only grid-sized array.
     """
+    x1 = grid.midpoints1[:, None]
+    x2 = grid.midpoints2[None, :]
+    values = np.empty((grid.n1, grid.n2))
+
+    def fill(rows: slice) -> None:
+        _evaluate_block(f, x1[rows], x2, values[rows])
+
     return _normalized_state(
-        grid, _evaluate_on_grid(f, grid),
-        "amplitude function is zero everywhere on the grid; cannot normalize"
-    )
+        grid, values, "amplitude function is zero everywhere on the grid; cannot normalize",
+        fill)
 
 
-def _normalized_state(grid: GridSpec, values: np.ndarray, zero_message: str) -> DiscretizedState:
-    """Scale midpoint values by sqrt(cell area) and rescale to unit norm.
+def _evaluate_block(f, x1: np.ndarray, x2: np.ndarray, out: np.ndarray) -> None:
+    """Write f(x1, x2) into the row block `out`, to whose shape it must broadcast."""
+    rule = ("it is called once per block of rows, with x1 of shape {} and x2 of shape {}, "
+            "so it must be pointwise and broadcast; wrap a function of scalars in np.vectorize")
+    try:
+        result = f(x1, x2)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"amplitude function failed on arrays ({exc}): "
+                          + rule.format(x1.shape, x2.shape)) from exc
+    try:
+        values = np.asarray(result, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"amplitude function returned {result!r:.80}, not numbers") from exc
+    try:
+        out[...] = np.broadcast_to(values, out.shape)
+    except ValueError:
+        raise DomainError(f"amplitude function returned shape {values.shape}, which does not "
+                          f"broadcast to the row block shape {out.shape}: "
+                          + rule.format(x1.shape, x2.shape)) from None
 
-    `values` may belong to the caller (an amplitude function's result), so
-    only the arrays made here are rescaled in place.  Non-finite values are
-    looked for only when the norm is not a positive finite number.  The
-    norms are row-blocked sums with no BLAS call, so the state has the same
-    bits at any BLAS thread count.
+
+def _normalized_state(grid: GridSpec, values: np.ndarray, zero_message: str,
+                      fill=None) -> DiscretizedState:
+    """Scale `values` by sqrt(cell area) and rescale to unit norm, in place.
+
+    `values` belongs to the caller, who gives it up: it becomes the state's
+    array.  With `fill`, each row block of `values` is first written by
+    fill(rows) (see `_sum_of_squares`).  Non-finite values are looked for
+    only when the norm is not a positive finite number.  The norms are
+    row-blocked sums with no BLAS call, so the state has the same bits at
+    any BLAS thread count.
     """
-    with np.errstate(over="ignore", under="ignore"):
-        scaled = values * math.sqrt(grid.cell_area)
-        raw_norm = math.sqrt(_sum_of_squares(scaled))
+    scale = math.sqrt(grid.cell_area)
+    raw_norm = math.sqrt(_sum_of_squares(values, scale, fill))
     if 0.0 < raw_norm < math.inf:
-        scaled /= raw_norm
-        return DiscretizedState(grid=grid, amplitudes=scaled, raw_norm=raw_norm)
-    if not np.all(np.isfinite(values)):
+        with np.errstate(under="ignore"):
+            for rows, _ in _row_blocks(values):
+                block = values[rows]
+                block *= scale
+                block /= raw_norm
+        return DiscretizedState(grid=grid, amplitudes=values, raw_norm=raw_norm)
+    # NaN propagates through max and min, so a non-finite value shows here.
+    high, low = float(np.max(values)), float(np.min(values))
+    if not (math.isfinite(high) and math.isfinite(low)):
         raise DomainError("amplitude function must be finite on the grid")
-    peak = float(np.max(np.abs(values)))
+    peak = max(high, -low)
     if peak == 0.0:
         raise DomainError(zero_message)
     # The squared norm left the float range; the normalized state is
     # scale-invariant, so normalize the peak-scaled values instead.
-    unit = values / peak
-    unit_norm = math.sqrt(_sum_of_squares(unit))
-    raw_norm = peak * math.sqrt(grid.cell_area) * unit_norm
-    unit /= unit_norm
-    return DiscretizedState(grid=grid, amplitudes=unit, raw_norm=raw_norm)
+    with np.errstate(under="ignore"):
+        values /= peak
+        unit_norm = math.sqrt(_sum_of_squares(values))
+        values /= unit_norm
+    raw_norm = peak * scale * unit_norm
+    return DiscretizedState(grid=grid, amplitudes=values, raw_norm=raw_norm)
 
 
 def _row_blocks(a: np.ndarray):
@@ -252,13 +267,25 @@ def _row_blocks(a: np.ndarray):
         yield rows, buffer[:rows.stop - start]
 
 
-def _sum_of_squares(a: np.ndarray) -> float:
-    """Row-blocked pairwise sum of the squares of `a`; inf when they overflow."""
+def _sum_of_squares(a: np.ndarray, scale: float | None = None, fill=None) -> float:
+    """Row-blocked pairwise sum of the squares of `a`, or of `a * scale`;
+    inf when they overflow.
+
+    With `fill`, fill(rows) first writes each block of rows of `a`, so that
+    the block is summed while it is in cache.
+    """
     sums = []
-    with np.errstate(over="ignore"):
-        for rows, squares in _row_blocks(a):
-            np.multiply(a[rows], a[rows], out=squares)
+    for rows, squares in _row_blocks(a):
+        if fill is not None:
+            fill(rows)
+        with np.errstate(over="ignore", under="ignore"):
+            if scale is None:
+                np.multiply(a[rows], a[rows], out=squares)
+            else:
+                np.multiply(a[rows], scale, out=squares)
+                np.multiply(squares, squares, out=squares)
             sums.append(np.sum(squares))
+    with np.errstate(over="ignore"):
         return float(np.sum(sums))
 
 
@@ -272,10 +299,16 @@ def marginals(p_joint) -> tuple[np.ndarray, np.ndarray]:
     return p1, p2
 
 
-def _joint_walk(p_joint, entropy: bool):
+def _joint_walk(p_joint, entropy: bool, squared: bool = False):
     """One row-blocked pass over a joint probability matrix: its checks (see
     `marginals`), its row and column sums and, when `entropy` is set, the
-    sum of p log p over its cells with p > 0 (else None)."""
+    sum of p log p over its cells with p > 0 (else None).
+
+    With `squared`, `p_joint` holds amplitudes and the joint is their
+    squares, formed one row block at a time in a block-sized buffer.  Each
+    block has the bits of the same rows of the squared matrix, so the
+    results are those of the walk over `amplitudes**2`.
+    """
     p = np.asarray(p_joint, dtype=float)
     if p.ndim != 2:
         raise DomainError(f"joint distribution must be a matrix, got ndim={p.ndim}")
@@ -283,9 +316,14 @@ def _joint_walk(p_joint, entropy: bool):
     cols = np.zeros(p.shape[1])
     terms_sums = []
     negative = False
+    squares = None
     with np.errstate(over="ignore"):
         for block_rows, terms in _row_blocks(p):
             block = p[block_rows]
+            if squared:
+                # The first block is the largest.
+                squares = np.empty_like(terms) if squares is None else squares
+                block = np.multiply(block, block, out=squares[:len(terms)])
             row_sums = rows[block_rows]
             np.sum(block, axis=1, out=row_sums)
             # A non-finite sum has a non-finite entry or entries that overflow.
@@ -333,8 +371,16 @@ def shannon_mi_numeric(p_joint, log_base=math.e) -> float:
     the same way.  It is deterministic for a fixed numpy build.  Tiny
     negative float residue on product joints is clamped to 0.
     """
+    return _mutual_information(p_joint, log_base)
+
+
+def _mutual_information(p_joint, log_base=math.e, squared: bool = False) -> float:
+    """`shannon_mi_numeric`; with `squared`, that of the joint
+    `p_joint**2`, with the same bits, formed one row block at a time (see
+    `_joint_walk`), so a state's amplitudes give its mutual information
+    without a grid-sized copy."""
     divisor = log_divisor(log_base)
-    p1, p2, total = _joint_walk(p_joint, entropy=True)
+    p1, p2, total = _joint_walk(p_joint, entropy=True, squared=squared)
     for marginal in (p1, p2):
         positive = np.min(marginal, initial=math.inf) > 0.0
         total -= float(_plogp_sum(marginal, np.empty_like(marginal), positive))
@@ -350,13 +396,14 @@ def write_state_file(path, state: DiscretizedState) -> None:
     sqrt(cell area)); scale is irrelevant on load since reading normalizes.
     """
     grid = state.grid
-    samples = state.amplitudes / math.sqrt(grid.cell_area)
-    # One format string per row, printing what format_float prints.
+    scale = math.sqrt(grid.cell_area)
+    # One format string per row, printing what format_float prints; each row
+    # is divided as it is formatted, so no grid-sized copy is made.
     row_format = ",".join(["%" + _FLOAT_SPEC] * grid.n2) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(dataclasses.asdict(grid)) + "\n")
-        for row in samples:
-            fh.write(row_format % tuple(row.tolist()))
+        for row in state.amplitudes:
+            fh.write(row_format % tuple((row / scale).tolist()))
 
 
 def _logical_lines(fh):

@@ -14,7 +14,8 @@ how fast the spectrum decays:
   blocked form of Yu, Gu & Li, SIAM J. Matrix Anal. Appl. 39:1339, 2018).
   It grows an orthonormal basis Q of axis-1 vectors, 64 columns of a fixed
   pseudo-random sketch at a time, and stops once the residual
-  ||A - Q Q^T A||_F^2, computed directly, is at most 1e-14.  A block Y of
+  ||A - Q Q^T A||_F^2, computed directly one row block at a time (so no
+  temporary is as large as A), is at most 1e-14.  A block Y of
   m rows and n = 64 columns is orthonormalized by CholeskyQR: a pass
   replaces Y by Y L^-T with L L^T = Y^T Y, two BLAS-3 products around a
   64 x 64 Cholesky factor.  A sketch block has numerical rank ~35 of 64
@@ -402,10 +403,7 @@ def _sketch(a: np.ndarray, total: float):
         leftover -= float(np.sum(np.square(block)))
         if leftover <= _TAIL:
             # The tracked leftover cancels to rounding noise; certify directly.
-            residual = q @ b
-            residual -= a
-            leftover = float(np.sum(np.square(residual, out=residual)))
-            del residual
+            leftover = _residual(a, q, b)
             if leftover <= _TAIL:
                 break
         decay = leftover / previous
@@ -416,6 +414,17 @@ def _sketch(a: np.ndarray, total: float):
             return None
         y = a @ _test_matrix(n2, q.shape[1])
     return _eigenvalues(b @ b.T), partial(_lifted, q, b), leftover
+
+
+def _residual(a: np.ndarray, q: np.ndarray, b: np.ndarray) -> float:
+    """||A - Q B||_F^2, formed and summed one row block of `a` at a time, so
+    that no temporary is as large as `a`."""
+    sums = []
+    for rows, residual in _row_blocks(a):
+        np.matmul(q[rows], b, out=residual)
+        residual -= a[rows]
+        sums.append(np.sum(np.square(residual, out=residual)))
+    return float(np.sum(sums))
 
 
 def _orthonormal(y: np.ndarray, shifts) -> np.ndarray:

@@ -10,6 +10,7 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -362,6 +363,21 @@ class TestMutualInfo:
         assert float(values["abs_error"]) <= 1e-4
         assert float(values["mi_numeric"]) == pytest.approx(
             float(values["mi_analytic"]), abs=1e-4)
+
+    def test_peak_memory_at_the_largest_grid(self, capsys):
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(capsys, "mutual-info", "--n", "4096", "--rho", "0.9")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        # The state and one row block's temporaries; squaring the state into
+        # a joint copy first peaked at ~2 times the state.
+        assert peak <= 1.2 * 4096 * 4096 * 8
+        _, rows = parse_csv(out)
+        values = {r[0]: r[1] for r in rows}
+        assert float(values["abs_error"]) <= 1e-12
 
     def test_base_two_run(self, capsys):
         code, out, _ = run_cli(capsys, "mutual-info", "--n", "64", "--base", "2")

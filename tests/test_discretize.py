@@ -77,6 +77,15 @@ def gaussian_state(params, n, span=6.0):
     return sample_state(lambda x1, x2: wavefunction(params, x1, x2), grid)
 
 
+def lookup(grid, values):
+    """A pointwise amplitude function that returns values[i, j] at the
+    midpoint of cell (i, j) of `grid`."""
+    def f(x1, x2):
+        return values[np.searchsorted(grid.midpoints1, x1),
+                      np.searchsorted(grid.midpoints2, x2)]
+    return f
+
+
 class TestGridSpec:
     def test_reference_box_bounds(self, reference_params):
         grid = build_grid(reference_params, 100)
@@ -182,20 +191,62 @@ class TestSampleState:
         state = sample_state(lambda x1, x2: 1.0, grid)
         assert state.amplitudes.shape == (3, 4)
 
-    def test_nonvectorized_function_falls_back_to_loop(self):
+    def test_function_that_fails_on_arrays_is_rejected(self):
+        grid = GridSpec(n1=5, n2=5, lo1=-1.0, hi1=1.0, lo2=-1.0, hi2=1.0)
+        calls = []
+
+        def scalar_only(x1, x2):
+            calls.append((x1, x2))
+            return math.exp(-float(x1) ** 2 - float(x2) ** 2)
+
+        with pytest.raises(DomainError) as excinfo:
+            sample_state(scalar_only, grid)
+        message = str(excinfo.value)
+        assert message.startswith("amplitude function failed on arrays (")
+        assert ("with x1 of shape (5, 1) and x2 of shape (1, 5), so it must be pointwise "
+                "and broadcast; wrap a function of scalars in np.vectorize") in message
+        assert isinstance(excinfo.value.__cause__, TypeError)
+        assert len(calls) == 1  # no cell-by-cell retry
+
+    def test_vectorized_scalar_function_gives_the_same_bits(self):
         grid = GridSpec(n1=5, n2=5, lo1=-1.0, hi1=1.0, lo2=-1.0, hi2=1.0)
 
         def scalar_only(x1, x2):
             return math.exp(-float(x1) ** 2 - float(x2) ** 2)
 
-        state = sample_state(scalar_only, grid)
+        state = sample_state(np.vectorize(scalar_only), grid)
         vectorized = sample_state(lambda x1, x2: np.exp(-x1 ** 2 - x2 ** 2), grid)
         np.testing.assert_array_equal(state.amplitudes, vectorized.amplitudes)
+        assert state.raw_norm == vectorized.raw_norm
+
+    def test_function_is_called_once_per_row_block(self, reference_params):
+        grid = build_grid(reference_params, 300, span=8.0)
+        shapes = []
+
+        def amplitude(x1, x2):
+            shapes.append((x1.shape, x2.shape))
+            return wavefunction(reference_params, x1, x2)
+
+        state = sample_state(amplitude, grid)
+        # 2**16 // 300 = 218 rows per block.
+        assert shapes == [((218, 1), (1, 300)), ((82, 1), (1, 300))]
+        whole = wavefunction(reference_params, grid.midpoints1[:, None],
+                             grid.midpoints2[None, :])
+        np.testing.assert_array_equal(state.amplitudes,
+                                      sample_state(lookup(grid, whole), grid).amplitudes)
+
+    def test_full_grid_result_is_rejected_on_a_row_block(self, reference_params):
+        grid = build_grid(reference_params, 300, span=8.0)
+        whole = np.ones((300, 300))
+        with pytest.raises(DomainError, match=r"returned shape \(300, 300\), which does not "
+                                              r"broadcast to the row block shape \(218, 300\)"):
+            sample_state(lambda x1, x2: whole, grid)
 
     @pytest.mark.parametrize("shape, message", [
-        ((3,), r"returned shape \(3,\), which does not broadcast to the grid shape \(4, 4\)"),
-        ((4, 4, 2), r"returned shape \(4, 4, 2\), which does not broadcast to the grid shape "
-                    r"\(4, 4\)"),
+        ((3,), r"returned shape \(3,\), which does not broadcast to the row block shape "
+               r"\(4, 4\)"),
+        ((4, 4, 2), r"returned shape \(4, 4, 2\), which does not broadcast to the row block "
+                    r"shape \(4, 4\)"),
     ])
     def test_result_that_does_not_broadcast_to_the_grid_is_rejected(self, shape, message):
         grid = GridSpec(n1=4, n2=4, lo1=0.0, hi1=1.0, lo2=0.0, hi2=1.0)
@@ -209,16 +260,11 @@ class TestSampleState:
             sample_state(wrong_shape, grid)
         assert len(calls) == 1  # no cell-by-cell retry
 
-    @pytest.mark.parametrize("result", ["abc", (0.5, "x"), np.array([1.0, 2.0]), {}])
-    def test_scalar_only_function_must_return_one_number(self, result):
+    @pytest.mark.parametrize("result", ["abc", (0.5, "x"), {}])
+    def test_function_must_return_numbers(self, result):
         grid = GridSpec(n1=4, n2=4, lo1=0.0, hi1=1.0, lo2=0.0, hi2=1.0)
-
-        def scalar_only(x1, x2):
-            float(x1)  # refuses arrays, so the grid is evaluated cell by cell
-            return result
-
-        with pytest.raises(DomainError, match=r"at \(0.125, 0.125\), not one number"):
-            sample_state(scalar_only, grid)
+        with pytest.raises(DomainError, match=r"^amplitude function returned .*, not numbers$"):
+            sample_state(lambda x1, x2: result, grid)
 
     def test_zero_function_rejected(self):
         grid = GridSpec(n1=4, n2=4, lo1=0.0, hi1=1.0, lo2=0.0, hi2=1.0)
@@ -240,7 +286,7 @@ class TestSampleState:
         values = np.array([[peak, 0.5], [0.5, bad]])
         with pytest.raises(DomainError,
                            match="^amplitude function must be finite on the grid$"):
-            sample_state(lambda x1, x2: values, grid)
+            sample_state(lookup(grid, values), grid)
 
     @pytest.mark.parametrize("factor", [1.0, 1e-170, 1e200])
     def test_matches_the_out_of_place_normalization(self, reference_params, factor):
@@ -249,7 +295,7 @@ class TestSampleState:
         values = factor * wavefunction(reference_params, grid.midpoints1[:, None],
                                        grid.midpoints2[None, :])
         returned = values.copy()
-        state = sample_state(lambda x1, x2: returned, grid)
+        state = sample_state(lookup(grid, returned), grid)
         with np.errstate(over="ignore", under="ignore"):
             scaled = values * math.sqrt(grid.cell_area)
             raw_norm = math.sqrt(discretize._sum_of_squares(scaled))
@@ -276,9 +322,10 @@ class TestSampleState:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # The amplitude function's result and the state, ~2.07 times the
-        # state; with full-size temporaries the peak was 4.0 times.
-        assert peak <= 2.5 * state.amplitudes.nbytes
+        # The state and one row block's temporaries, ~1.1 times the state;
+        # the whole grid's function result beside it peaked at ~2.07 times,
+        # and with full-size temporaries at 4.0 times.
+        assert peak <= 1.2 * state.amplitudes.nbytes
 
 
 class TestMarginals:
@@ -422,6 +469,14 @@ class TestShannonMiNumeric:
         mi = shannon_mi_numeric(p)
         assert abs(mi - exact) <= 1e-14
         assert abs(mi - shannon_mi_gaussian(rho)) <= 1e-12
+
+    @pytest.mark.parametrize("rho", [-0.95, 0.9, 0.9995])
+    def test_state_path_has_the_bits_of_the_joint_path(self, rho):
+        params = GaussianParams(m1=1.0, m2=-1.0, sigma1=2.0, sigma2=1.0, rho=rho)
+        state = gaussian_state(params, 300, span=8.0)
+        for base in (math.e, 2):
+            assert (discretize._mutual_information(state.amplitudes, base, squared=True)
+                    == shannon_mi_numeric(state.probabilities(), base))
 
     def test_peak_memory_at_n1000(self, reference_params):
         p = gaussian_state(reference_params, 1000, span=8.0).probabilities()
@@ -686,6 +741,21 @@ class TestStateFiles:
         with pytest.raises(StateFileError, match=message) as excinfo:
             read_state_file(path)
         assert excinfo.value.line == line
+
+    def test_reader_peak_memory_at_n1000(self, tmp_path, reference_params):
+        path = tmp_path / "state.csv"
+        written = gaussian_state(reference_params, 1000, span=8.0)
+        write_state_file(path, written)
+        tracemalloc.start()
+        try:
+            state = read_state_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The parsed samples, normalized in place, and one line; the scaled
+        # copy beside them peaked at ~2.07 times the state.
+        assert peak <= 1.2 * state.amplitudes.nbytes
+        assert float(np.max(np.abs(state.amplitudes - written.amplitudes))) <= 1e-15
 
     def test_reader_memory_does_not_grow_with_extra_rows(self, tmp_path):
         # Reading the whole file first peaked at ~14 MB here.

@@ -1,6 +1,7 @@
 """Tests for the SVD-based Schmidt decomposition and derived quantities."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -256,6 +257,19 @@ class TestCertificate:
                      (again.modes2, spectrum.modes2)):
             assert a.tobytes() == b.tobytes()
 
+    def test_sketch_peak_memory_at_n1000(self, reference_params):
+        state = gaussian_state(reference_params, 1000, span=8.0)
+        tracemalloc.start()
+        try:
+            spectrum = decompose(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert spectrum.rank < 1000 and 0.0 < spectrum.discarded_weight <= 1e-14
+        # The basis, the block Q^T A and the test matrix, ~0.33 times the
+        # state; the certificate's grid-sized residual Q B - A peaked at ~1.26.
+        assert peak <= 0.4 * state.amplitudes.nbytes
+
     @pytest.mark.parametrize("offset", [5e-13, -5e-13])
     def test_leftover_starts_from_the_states_own_norm(self, reference_params, offset):
         # A squared norm of 1 - 5e-13 passes the state's 1e-12 check; a
@@ -287,9 +301,9 @@ class TestCertificate:
         calls = []
         sum_of_squares = discretize._sum_of_squares
 
-        def counting(a):
+        def counting(a, *args):
             calls.append(a.shape)
-            return sum_of_squares(a)
+            return sum_of_squares(a, *args)
 
         monkeypatch.setattr(discretize, "_sum_of_squares", counting)
         monkeypatch.setattr(schmidt_module, "_sum_of_squares", counting, raising=False)
