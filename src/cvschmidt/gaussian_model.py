@@ -34,8 +34,6 @@ _SQRT_WEIGHT_FLOOR = 1e-12
 _MAX_MODES = 512
 _TAIL_MASS = 1e-12
 _MAX_TRUNCATED_WEIGHTS = 1_000_000
-# Cells per block of the density's exp (see _density_array).
-_EXP_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -117,16 +115,13 @@ def _density_array(params: GaussianParams, x1, x2) -> np.ndarray:
     evaluates, with -z / c computed as z / -c, which IEEE arithmetic rounds
     identically.
 
-    The exp runs over blocks of _EXP_BLOCK cells.  A block whose exponents
-    all lie at or above -708 takes a plain exp; any other block takes it
-    only where the exponent is at least -746 and clamps the rest to 0.0,
-    which is what exp returns for them.  The bits are those of one plain
-    exp over the whole array.  exp costs ~1 ns per normal result but ~20 ns
-    per result that underflows to 0.0 (~144 ns per subnormal one), and on a
-    highly correlated grid most exponents lie below -746: at n = 1000, rho
-    0.998 to 0.9995, span 10, the exp took 2.6-3.1 ms instead of 8-9 ms on
-    2 CPUs.  Where the mass covers the grid the plain exp is the faster
-    one, hence the choice per block.
+    A call whose exponents all lie at or above -708 takes a plain exp; any
+    other call takes it only where the exponent is at least -746 and clamps
+    the rest to 0.0, which is what exp returns for them, so the bits are
+    those of one plain exp.  exp costs ~1 ns per normal result but ~20 ns
+    per result that underflows to 0.0, so on a highly correlated grid the
+    masked exp is the faster one; `sample_state` calls once per row block,
+    so the choice is made per block.
 
     Overflow and invalid operations raise no warning: an overflowing
     exponent gives exp(-inf) = 0.0, the density's underflowed value, and
@@ -142,18 +137,15 @@ def _density_array(params: GaussianParams, x1, x2) -> np.ndarray:
     np.subtract(t1 * t1, out, out=out)
     np.add(out, t2 * t2, out=out)
     np.divide(out, -(2.0 * one_minus_r2), out=out)
-    flat = out.reshape(-1)
-    for start in range(0, flat.size, _EXP_BLOCK):
-        block = flat[start:start + _EXP_BLOCK]
-        if block.min() >= -708.0:
-            np.exp(block, out=block)
-        else:
-            # exp rounds to 0.0 below about -745.13, so clamping the
-            # skipped exponents to 0.0 gives its bits; NaN fails the mask
-            # and survives the clamp, as it survives exp.
-            np.exp(block, out=block, where=block >= -746.0)
-            np.maximum(block, 0.0, out=block)
-        np.divide(block, norm, out=block)
+    if out.min(initial=0.0) >= -708.0:
+        np.exp(out, out=out)
+    else:
+        # exp rounds to 0.0 below about -745.13, so clamping the skipped
+        # exponents to 0.0 gives its bits; NaN fails the mask and survives
+        # the clamp, as it survives exp.
+        np.exp(out, out=out, where=out >= -746.0)
+        np.maximum(out, 0.0, out=out)
+    np.divide(out, norm, out=out)
     return out
 
 

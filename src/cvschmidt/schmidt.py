@@ -91,10 +91,13 @@ how fast the spectrum decays:
   and ~205 ms for 320.
 
 Sign fixing: each weight's mode pair is flipped jointly so that the
-axis-1 column's largest-magnitude entry is positive.  A joint flip leaves
-the reconstruction and all weight-derived quantities unchanged; anchoring
-on one side only is deliberate, since no convention can force both
-columns positive-dominant for every real matrix.
+axis-1 column's first entry whose magnitude is at least half the column's
+largest is positive.  Anchoring on the largest entry itself would be
+ill-conditioned: a near-antisymmetric mode has two peaks of almost equal
+magnitude and opposite sign, and rounding decides which one is larger.  A
+joint flip leaves the reconstruction and all weight-derived quantities
+unchanged; anchoring on one side only is deliberate, since no convention
+can force both columns positive-dominant for every real matrix.
 """
 
 from __future__ import annotations
@@ -227,9 +230,11 @@ def _lifted(q: np.ndarray, b: np.ndarray):
 
 
 def _sign_fixed(u: np.ndarray, s: np.ndarray, vt: np.ndarray):
-    """(u, s, v) with each column pair flipped jointly; anchor on the axis-1 mode."""
+    """(u, s, v) with each column pair flipped jointly so that the axis-1
+    mode's first entry of at least half its largest magnitude is positive."""
     v = vt.T
-    anchor = np.argmax(np.abs(u), axis=0)
+    magnitude = np.abs(u)
+    anchor = np.argmax(magnitude >= 0.5 * magnitude.max(axis=0), axis=0)
     flip = u[anchor, np.arange(u.shape[1])] < 0.0
     u[:, flip] *= -1.0
     v[:, flip] *= -1.0

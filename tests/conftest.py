@@ -5,9 +5,23 @@ run so the gate can be read off the terminal without digging through the
 full pytest report.
 """
 
+import warnings
+
 import pytest
 
 from cvschmidt import GaussianParams
+
+# Hypothesis's pytest plugin imports hypothesis.extra._patching (and through
+# libcst, mypy_extensions) only while it reports a falsifying example.  Under
+# filterwarnings = ["error"] that import's DeprecationWarning would abort the
+# run with INTERNALERROR instead of printing the example, so import it here,
+# once, with the warning ignored.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 # Display order and labels for the acceptance tests in test_acceptance.py.
 _ACCEPTANCE = {

@@ -5,6 +5,8 @@ a few subprocess runs confirm the installed module entry point behaves
 identically.
 """
 
+import contextlib
+import io
 import json
 import math
 import re
@@ -15,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cvschmidt import (
     GaussianParams,
@@ -30,6 +34,8 @@ from cvschmidt import (
 )
 from cvschmidt import cli as cli_module
 from cvschmidt import gaussian_model as gm
+from cvschmidt.discretize import MAX_GRID_CELLS
+from cvschmidt.epr_sim import MAX_SYMBOL_PAIRS
 from oracles import analytic_mode_pair
 
 REFERENCE_K = 2.29415733870562
@@ -569,6 +575,101 @@ class TestGridBudget:
         code, out, err = run_cli(capsys, "decompose", str(path))
         assert (code, out) == (1, "")
         assert "budget of 16777216 (line 1)" in err
+
+
+# Inputs for the contract fuzz: floats at and past the edges of the double
+# range beside a few ordinary values, and ints at 0, -1 and one past each
+# budget beside small valid ones.  File names starting with "@" are files
+# in the fuzz's own directory.
+_FLOATS = st.sampled_from(["0", "-0", "5e-324", "-5e-324", "1e300", "-1e300", "1e-300",
+                           "-1e-300", "1.7976931348623157e308", "-1.7976931348623157e308",
+                           "nan", "inf", "-inf", "0.5", "-0.9", "2", "0.999"])
+_GRIDS = st.sampled_from(["0", "-1", "2", "3", "16", "64", str(math.isqrt(MAX_GRID_CELLS) + 1)])
+_COUNTS = st.sampled_from(["0", "-1", "1", "3", "65"])
+_PARAMS = {name: _FLOATS for name in ("rho", "m1", "m2", "sigma1", "sigma2")}
+_BASE = {"base": st.sampled_from(["2", "e"])}
+_FORMAT = {"format": st.sampled_from(["csv", "json"])}
+# Per command: the options it always gets (grids stay small) and those it
+# may get.
+_COMMANDS = {
+    "table1": ({"grids": st.lists(_GRIDS, min_size=1, max_size=3).map(",".join)},
+               {**_PARAMS, "span": _FLOATS, "count": _COUNTS, **_FORMAT}),
+    "modes": ({"n": _GRIDS}, {**_PARAMS, "span": _FLOATS, "count": _COUNTS, **_FORMAT}),
+    "decompose": ({}, {"n-symbols": _COUNTS, "count": _COUNTS, **_BASE, **_FORMAT}),
+    "mutual-info": ({"n": _GRIDS}, {**_PARAMS, "span": _FLOATS, **_BASE, **_FORMAT}),
+    "thermo": ({}, {"beta-min": _FLOATS, "beta-max": _FLOATS,
+                    "points": st.sampled_from(["0", "-1", "1", "3",
+                                               str(cli_module.MAX_SWEEP_POINTS + 1)]),
+                    **_BASE, **_FORMAT}),
+    "simulate": ({}, {"rho": _FLOATS,
+                      "weights-file": st.sampled_from(["@weights.txt", "@garbage.csv"]),
+                      "n": st.sampled_from(["0", "-1", "1", "3", str(MAX_SYMBOL_PAIRS + 1)]),
+                      "trials": st.sampled_from(["0", "-1", "1", "10000",
+                                                 str(MAX_SYMBOL_PAIRS + 1)]),
+                      "seed": st.sampled_from(["0", "-1", "7"])}),
+    "info": ({}, {"K": _FLOATS, "rho": _FLOATS, "n-symbols": _COUNTS, **_FORMAT}),
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    required, optional = _COMMANDS[command]
+    argv = [command]
+    if command == "decompose":
+        argv.append(draw(st.sampled_from(["@state.csv", "@wide.csv", "@garbage.csv"])))
+    for name, values in required.items():
+        argv.append(f"--{name}={draw(values)}")
+    # A few options at a time, so that most argv lists are valid but for
+    # at most one or two values, and the defaults get exercised too.
+    for name in draw(st.lists(st.sampled_from(sorted(optional)), max_size=3, unique=True)):
+        argv.append(f"--{name}={draw(optional[name])}")
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    params = GaussianParams(rho=0.9)
+    write_gaussian_state_file(root / "state.csv", params, 16)
+    grid = GridSpec(n1=3, n2=24, lo1=-4.0, hi1=4.0, lo2=-5.0, hi2=5.0)
+    write_state_file(root / "wide.csv",
+                     sample_state(lambda x1, x2: wavefunction(params, x1, x2), grid))
+    (root / "weights.txt").write_text("0.5\n0.25\n0.25\n")
+    (root / "garbage.csv").write_text("nan,1\n{\n")
+    return root
+
+
+class TestInputContract:
+    """Every argv ends in a result (exit 0, finite numbers only) or in one
+    error line (exit 1 for input, 2 for numerical failure); no traceback,
+    and, with warnings as errors, no warning."""
+
+    @given(argv=_argv())
+    @example(argv=["modes", "--rho=-0.9999999999999999", "--m2=1e-320", "--sigma2=1e-300"])
+    @example(argv=["thermo", "--beta-max=1.7976931348623157e308", "--points=3"])
+    @example(argv=["table1", "--rho=1e-300", "--m1=5e-324", "--sigma1=1e-320", "--count=3"])
+    @example(argv=["mutual-info", "--sigma1=1e-300", "--span=1e300", "--n=3"])
+    @example(argv=["decompose", "@state.csv", "--n-symbols=0"])
+    @settings(max_examples=300, deadline=None)
+    def test_every_argv_ends_in_a_result_or_one_error_line(self, fuzz_files, argv):
+        argv = [arg.replace("@", f"{fuzz_files}/") for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_module.main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert "Traceback" not in out + err
+        if code == 0:
+            assert err == ""
+            for token in re.split(r"[\s,:\[\]{}\"]+", out):
+                with contextlib.suppress(ValueError):
+                    assert math.isfinite(float(token)), token
+        else:
+            assert code in (1, 2)
+            prefix = "error:" if code == 1 else "numerical error:"
+            errors = [line for line in err.splitlines() if "error:" in line.lower()]
+            assert len(errors) == 1 and errors[0].lower().startswith(prefix), err
+            assert out == ""
 
 
 class TestReadmeExamples:

@@ -12,6 +12,7 @@ from cvschmidt import (
     DomainError,
     GaussianParams,
     GeometricSpectrum,
+    GridSpec,
     analytic_mode,
     analytic_weights,
     build_grid,
@@ -19,6 +20,7 @@ from cvschmidt import (
     density,
     hermite_function,
     rho_squared_from_K,
+    sample_state,
     schmidt_number_from_rho,
     shannon_mi_gaussian,
     synthesize_wavefunction,
@@ -26,6 +28,7 @@ from cvschmidt import (
     wavefunction,
 )
 from cvschmidt import gaussian_model as gm
+from cvschmidt.discretize import _BLOCK_CELLS, _row_blocks
 from cvschmidt.gaussian_model import hermite_functions
 from oracles import analytic_mode_pair, plain_exp_density
 
@@ -162,8 +165,8 @@ class TestInPlaceEvaluation:
         assert np.array_equal(psi, np.sqrt(want))
 
 class TestMaskedExp:
-    """The exp runs block by block, masked where the exponent is below -746;
-    every density and wavefunction byte stays that of one plain exp."""
+    """Each call takes a plain exp or one masked where the exponent is below
+    -746; every density and wavefunction byte stays that of one plain exp."""
 
     @staticmethod
     def assert_same_bytes(params, x1, x2):
@@ -182,16 +185,25 @@ class TestMaskedExp:
         grid = build_grid(params, 1000, span=span)
         self.assert_same_bytes(params, grid.midpoints1[:, None], grid.midpoints2[None, :])
 
-    def test_blocks_mixing_the_plain_and_masked_paths(self):
-        # Exponent -x^2 / 2: the first block stays above -708 (plain exp),
-        # later ones reach past -746 (masked), through the subnormal range.
-        x = np.linspace(0.0, 60.0, 3 * gm._EXP_BLOCK)
-        exponents = -0.5 * x * x
-        blocks = [exponents[i:i + gm._EXP_BLOCK] for i in range(0, x.size, gm._EXP_BLOCK)]
+    def test_row_blocks_mixing_the_plain_and_masked_paths(self):
+        # Exponent -(x1^2 + x2^2) / 2 over three row blocks: the first stays
+        # above -708 (plain exp), the second reaches past -746 (masked)
+        # through the subnormal range, the third lies wholly below -746.
+        params = GaussianParams()
+        grid = GridSpec(n1=3 * (_BLOCK_CELLS // 2), n2=2, lo1=0.0, hi1=60.0, lo2=-0.5, hi2=0.5)
+        x1, x2 = grid.midpoints1[:, None], grid.midpoints2[None, :]
+        exponents = -0.5 * (x1 * x1 + x2 * x2)
+        blocks = [exponents[rows] for rows, _ in _row_blocks(exponents)]
+        assert len(blocks) == 3
         assert blocks[0].min() >= -708.0
         assert blocks[1].min() < -746.0 and blocks[1].max() > -708.0
-        assert np.any((exponents > -745.0) & (exponents < -708.0))
-        self.assert_same_bytes(GaussianParams(), x, 0.0)
+        assert np.any((blocks[1] > -745.0) & (blocks[1] < -708.0))
+        assert blocks[2].max() < -746.0
+        state = sample_state(lambda a, b: wavefunction(params, a, b), grid)
+        want = sample_state(lambda a, b: np.sqrt(plain_exp_density(params, a, b)), grid)
+        assert state.amplitudes.tobytes() == want.amplitudes.tobytes()
+        assert state.raw_norm == want.raw_norm
+        self.assert_same_bytes(params, x1, x2)
 
     @pytest.mark.parametrize("x1, x2", [
         (np.linspace(-40.0, 40.0, 300)[:, None, None], np.linspace(-9.0, 9.0, 250)[None, :, None]
@@ -384,6 +396,15 @@ class TestSchmidtModes:
             np.testing.assert_array_equal(f1_pos, f1_neg)
             expected = -f2_pos if k % 2 else f2_pos
             np.testing.assert_allclose(f2_neg, expected, rtol=0.0, atol=1e-15)
+
+    def test_mode_walk_gives_the_paired_modes_bit_for_bit(self):
+        params = GaussianParams(m1=1.0, m2=-1.0, sigma1=2.0, sigma2=1.0, rho=-0.95)
+        x1, x2 = np.linspace(-9.0, 11.0, 7), np.linspace(-6.0, 4.0, 5)
+        walks = zip(gm.analytic_modes(params, 1, x1), gm.analytic_modes(params, 2, x2))
+        for k, (mode1, mode2) in zip(range(12), walks):
+            pair = analytic_mode_pair(params, k, x1, x2)
+            assert mode1.tobytes() == pair[0].tobytes()
+            assert mode2.tobytes() == pair[1].tobytes()
 
     # 2 sigma^2 underflows to 0; is subnormal; is normal, but K / (2 sigma^2)
     # overflows.
