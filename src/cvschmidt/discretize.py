@@ -38,6 +38,8 @@ _NORM_TOL = 1e-12
 # cells, so their temporaries are one 512 KB buffer, not n1 x n2 arrays.
 # Each block is summed pairwise, and so are the block sums.
 _BLOCK_CELLS = 2**16
+# The smallest normal float.
+_TINY = float(np.finfo(float).tiny)
 
 # Most cells a grid may have (n = 4096 per axis): a dense state of this size
 # holds 128 MB of float64 before any factorization workspace.
@@ -230,8 +232,11 @@ def _normalized_state(grid: GridSpec, values: np.ndarray, zero_message: str,
     any BLAS thread count.
     """
     scale = math.sqrt(grid.cell_area)
-    raw_norm = math.sqrt(_sum_of_squares(values, scale, fill))
-    if 0.0 < raw_norm < math.inf:
+    squared = _sum_of_squares(values, scale, fill)
+    # A square below the normal range keeps only some of its bits; a sum
+    # that such squares could make up takes the peak-scaled path below.
+    if values.size * _TINY < squared < math.inf:
+        raw_norm = math.sqrt(squared)
         with np.errstate(under="ignore"):
             for rows, _ in _row_blocks(values):
                 block = values[rows]
@@ -245,8 +250,9 @@ def _normalized_state(grid: GridSpec, values: np.ndarray, zero_message: str,
     peak = max(high, -low)
     if peak == 0.0:
         raise DomainError(zero_message)
-    # The squared norm left the float range; the normalized state is
-    # scale-invariant, so normalize the peak-scaled values instead.
+    # The squared norm left the float range, or the normal range of each
+    # square; the normalized state is scale-invariant, so normalize the
+    # peak-scaled values instead.
     with np.errstate(under="ignore"):
         values /= peak
         unit_norm = math.sqrt(_sum_of_squares(values))

@@ -38,7 +38,7 @@ class InfoReport:
 
 def _validate(K: float, n: int) -> None:
     require_schmidt_number(K)
-    require_symbol_count(n)
+    require_symbol_count(n, K)
 
 
 def coincidence_probability(K: float, n: int) -> float:

@@ -85,10 +85,34 @@ how fast the spectrum decays:
   differ from the square roots of the weights by rounding.  Nothing is
   left out of the modes or of `reconstruct`, so `discarded_weight` is
   0.0.  Past min(n1, n2) // 4 sketch columns the Gram eigenvalues are the
-  cheaper route: at n = 1000 on 2 CPUs `decompose` takes 51-65 ms for rho
-  0.998 to 0.9995 at span 10, where the window is about 830 x 830 and
-  `eigvalsh` alone takes 40-50 ms, against ~120 ms for 192 sketch columns
-  and ~205 ms for 320.
+  cheaper route: at n = 1000 on 2 CPUs `decompose` takes ~30-35 ms for rho
+  0.998 to 0.9995 at span 10 with the parity split below (51-65 ms with
+  one Gram matrix of the ~830 x 830 window, whose `eigvalsh` alone took
+  40-50 ms), against ~120 ms for 192 sketch columns and ~205 ms for 320.
+- The Gram route splits by parity.  A state that `build_grid` and
+  `sample_state` make is centrosymmetric up to rounding, A = J A J with J
+  the reversal of each axis, because its box is centred on the means (the
+  paper's Schmidt mode k has parity (-1)^k).  Its Gram matrix G then
+  commutes with J, and the orthogonal change to the even and odd vectors
+  (e_k +- e_(m-1-k)) / sqrt(2) makes it block diagonal, with two blocks
+  of half the size (Cantoni & Butler, Linear Algebra Appl. 13:275, 1976).
+  When the row and column masses that the window's pass sums match their
+  mirror images, the window is widened to its centrosymmetric hull, whose
+  cut mass is at most the window's; three quadrants of its G are summed
+  band by band with the bits of the whole G, rotated in place into the
+  even block, the odd block and the block E between them, and the
+  weights are the eigenvalues of the two blocks, merged.  By Weyl's
+  inequality dropping E moves each weight by at most ||E||_2 <= ||E||_F,
+  and the split is kept only when ||E||_F <= min(m1, m2) * eps * lambda_0,
+  inside the accuracy above.  Any other state, and a split that fails the
+  test (at n = 1000 from rho ~0.9999, where rounding makes ||E||_F about
+  7e-15), takes the window's single Gram matrix with its old bits.  Over
+  159 states (n 60 to 1500, odd and rectangular grids, rho -0.9999 to
+  0.9999, spans 8 and 10, off-centre boxes, noise) 64 split with ||E||_F
+  of 1.3e-16 to 7.6e-15; their weights moved by at most 4.2e-16 and lay
+  within 6.1e-16 of the dense SVD's.  At n = 1000 the two eigenproblems
+  of ~415 take ~18 ms, and the three quadrants hold 0.52 times the state
+  where one Gram matrix held 0.69.
 
 Sign fixing: each weight's mode pair is flipped jointly so that the
 axis-1 column's first entry whose magnitude is at least half the column's
@@ -242,28 +266,114 @@ def _sign_fixed(u: np.ndarray, s: np.ndarray, vt: np.ndarray):
 
 
 def _gram_weights(a: np.ndarray, total: float) -> np.ndarray:
-    """Squared singular values of `a`, non-increasing, from the smaller Gram
-    matrix of its edge-trimmed window and padded with zeros to min(n1, n2).
+    """Squared singular values of `a`, non-increasing, from the Gram matrix
+    of its edge-trimmed window and padded with zeros to min(n1, n2).
 
     `total` is the squared norm of `a` that its state checked.  The Gram
-    matrix is summed band by band (see `_window`).
+    matrix is the smaller of W^T W and W W^T, summed band by band (see
+    `_window`).  When the state may be centrosymmetric, that of its
+    centrosymmetric hull is split into its even and odd blocks (see
+    `_parity_split`), and the split is kept when the block it drops has
+    ||E||_F <= min(m1, m2) * eps * lambda_0; otherwise, and for every other
+    state, the weights are the eigenvalues of the window's Gram matrix.
     """
-    rows, cols, bands = _window(a, total)
+    window, hull = _window(a, total)
+    weights = None
+    if hull is not None:
+        weights, cross = _parity_split(*_quadrants(*_tall(a, *hull)))
+        if cross > weights.size * _EPS * weights[0]:
+            weights = None
+    if weights is None:
+        weights = _eigenvalues(_gram(*_tall(a, *window)))
+    padded = np.zeros(min(a.shape))
+    padded[:weights.size] = weights
+    return padded
+
+
+def _tall(a: np.ndarray, rows: slice, cols: slice, bands):
+    """The window a[rows, cols], transposed if it is wide, and its bands:
+    W^T W is then the smaller Gram matrix."""
     window = a[rows, cols]
     m1, m2 = window.shape
     if m2 <= m1:
-        gram = np.zeros((m2, m2))
-        for band_rows, band_cols in bands:
-            part = window[band_rows, band_cols]
-            gram[band_cols, band_cols] += part.T @ part
-    else:
-        gram = np.zeros((m1, m1))
-        for band_cols, band_rows in _column_bands(bands, m2):
-            part = window[band_rows, band_cols]
-            gram[band_rows, band_rows] += part @ part.T
-    weights = np.zeros(min(a.shape))
-    weights[:gram.shape[0]] = _eigenvalues(gram)
-    return weights
+        return window, bands
+    return window.T, _column_bands(bands, m2)
+
+
+def _gram(w: np.ndarray, bands) -> np.ndarray:
+    """W^T W, summed over the bands of W."""
+    gram = np.zeros((w.shape[1], w.shape[1]))
+    for band_rows, band_cols in bands:
+        part = w[band_rows, band_cols]
+        gram[band_cols, band_cols] += part.T @ part
+    return gram
+
+
+def _quadrants(w: np.ndarray, bands):
+    """G[:h, :h], G[h:, h:] and G[:h, h:] of G = W^T W, h = ceil(m2 / 2),
+    with the bits that `_gram` gives them; the lower-left quadrant, the
+    transpose of the upper-right one, is not formed."""
+    m = w.shape[1]
+    h = (m + 1) // 2
+    top, bottom, corner = np.zeros((h, h)), np.zeros((m - h, m - h)), np.zeros((h, m - h))
+    for band_rows, band_cols in bands:
+        part = w[band_rows, band_cols]
+        product = part.T @ part
+        lo, hi = band_cols.start, band_cols.stop
+        mid = min(max(lo, h), hi)  # the band's columns below h end here
+        k = mid - lo
+        top[lo:mid, lo:mid] += product[:k, :k]
+        if mid < hi:
+            bottom[mid - h:hi - h, mid - h:hi - h] += product[k:, k:]
+            corner[lo:mid, mid - h:hi - h] += product[:k, k:]
+    return top, bottom, corner
+
+
+def _parity_split(top: np.ndarray, bottom: np.ndarray, corner: np.ndarray):
+    """Eigenvalues of the even and odd blocks of a Gram matrix G given by
+    its quadrants (see `_quadrants`), merged non-increasing, and the
+    Frobenius norm of the block E between them.  Overwrites `top` and
+    `bottom`.
+
+    With J the reversal of the m = h + q columns (q = floor(m / 2)), the
+    even vectors (e_k + e_(m-1-k)) / sqrt(2) and the odd vectors
+    (e_k - e_(m-1-k)) / sqrt(2), k < q, with the middle unit vector e_q
+    among the even ones when m is odd, are the columns of an orthogonal P.
+    P^T G P has the eigenvalues of G; from A = G[:q, :q],
+    B = J G[h:, h:] J and C = G[:q, h:] J its even block is
+    (A + B + C + C^T) / 2, its odd block (A + B - C - C^T) / 2 and the block
+    between them E = (A - B - C + C^T) / 2, plus, for an odd m, one more
+    even row and column and one more row of E from the middle row of G.
+    When the window W is centrosymmetric, J G J = G and E = 0; dropping E
+    moves each eigenvalue by at most ||E||_2 <= ||E||_F (Weyl).  The blocks
+    are formed, two times over, in the memory of A and of G[h:, h:], one
+    row block at a time; their eigenvalues are halved.
+    """
+    q, h = bottom.shape[0], top.shape[0]
+    a = top[:q, :q]
+    b = bottom[::-1, ::-1]
+    c = corner[:q, ::-1]
+    c_t = c.T
+    cross = []
+    for rows, e in _row_blocks(a):
+        np.subtract(a[rows], b[rows], out=e)
+        e -= c[rows]
+        e += c_t[rows]
+        cross.append(np.sum(np.square(e, out=e)))
+        np.add(c[rows], c_t[rows], out=e)
+        a[rows] += b[rows]
+        np.subtract(a[rows], e, out=b[rows])
+        a[rows] += e
+    if h > q:
+        middle, mirror = top[q, :q], corner[q, ::-1]
+        cross.append(2.0 * np.sum(np.square(middle - mirror)))
+        middle += mirror
+        middle *= math.sqrt(2.0)
+        top[:q, q] = middle
+        top[q, q] *= 2.0
+    values = np.concatenate((np.linalg.eigvalsh(top), np.linalg.eigvalsh(bottom)))
+    weights = np.maximum(0.5 * np.sort(values)[::-1], 0.0)
+    return weights, 0.5 * math.sqrt(float(np.sum(cross)))
 
 
 def _column_bands(bands, width: int):
@@ -293,9 +403,10 @@ def _add_band(bands, along: slice, across: slice) -> None:
 
 
 def _window(a: np.ndarray, total: float):
-    """Row and column slices of `a` left once leading and trailing rows and
-    columns are cut, smallest mass first, while the cut masses sum to at
-    most eps * total; and the window's bands.
+    """The window of `a` left once leading and trailing rows and columns are
+    cut, smallest mass first, while the cut masses sum to at most
+    eps * total, as (rows, cols, bands); and its centrosymmetric hull in
+    the same form, or None.
 
     The row and column masses come from one row-blocked pass, with no BLAS
     call, so the window is the same at any thread count.  The cut rows and
@@ -312,6 +423,13 @@ def _window(a: np.ndarray, total: float):
     underflows to 0 (below ~1.5e-162 in magnitude): each Gram entry moves
     by at most max(n1, n2) * 1.5e-162.  A window whose every block spans
     all of its columns is one band, and its Gram matrix one product.
+
+    The hull keeps the smaller cut of each opposite pair of edges, so it
+    contains the window and leaves out at most the same mass.  It is
+    returned only when the row masses and the column masses each match
+    their mirror images to within min(n1, n2) * eps * total, summed over
+    the axis: a test, before any product, that the state may be
+    centrosymmetric.
     """
     n1, n2 = a.shape
     rows = np.empty(n1)
@@ -339,14 +457,25 @@ def _window(a: np.ndarray, total: float):
         spent += mass
         cuts[edge] += 1
         heads[edge] = edges[edge][cuts[edge]]
-    top, bottom, left, right = cuts[0], n1 - cuts[1], cuts[2], n2 - cuts[3]
+    window = _banded(spans, slice(cuts[0], n1 - cuts[1]), slice(cuts[2], n2 - cuts[3]))
+    mirror = min(n1, n2) * budget
+    if not (np.sum(np.abs(rows - rows[::-1])) <= mirror
+            and np.sum(np.abs(cols - cols[::-1])) <= mirror):
+        return window, None
+    edge, side = min(cuts[:2]), min(cuts[2:])
+    return window, _banded(spans, slice(edge, n1 - edge), slice(side, n2 - side))
+
+
+def _banded(spans, rows: slice, cols: slice):
+    """(rows, cols, bands): the window a[rows, cols] and the bands that the
+    row blocks' column `spans` give it (see `_window`)."""
     bands = []
     for block, lo, hi in spans:
-        start, stop = max(block.start, top) - top, min(block.stop, bottom) - top
-        lo, hi = max(lo, left) - left, min(hi, right) - left
+        start, stop = max(block.start, rows.start) - rows.start, min(block.stop, rows.stop) - rows.start
+        lo, hi = max(lo, cols.start) - cols.start, min(hi, cols.stop) - cols.start
         if start < stop and lo < hi:
             _add_band(bands, slice(start, stop), slice(lo, hi))
-    return slice(top, bottom), slice(left, right), bands
+    return rows, cols, bands
 
 
 def _test_matrix(rows: int, start: int) -> np.ndarray:

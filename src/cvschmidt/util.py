@@ -38,10 +38,20 @@ def require_schmidt_number(K) -> None:
         raise DomainError(f"Schmidt number must be finite, got {K}")
 
 
-def require_symbol_count(n) -> None:
-    """Raise DomainError unless a symbol count (pairs per sample) is >= 1."""
+def require_symbol_count(n, K=1.0) -> None:
+    """Raise DomainError unless a symbol count (pairs per sample) is >= 1
+    and n log2 K, the information it carries at Schmidt number K and the
+    largest value an information report holds, is a finite float.  At the
+    default K = 1 that is 0, so only a count that does not convert to
+    float fails."""
     if n < 1:
         raise DomainError(f"symbol count must be >= 1, got {n}")
+    try:
+        finite = math.isfinite(n * math.log(K) / _LN2)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise DomainError(f"symbol count is too large: n * log2 K must be a finite float (K = {K})")
 
 
 def require_count(count) -> None:

@@ -651,6 +651,9 @@ class TestInputContract:
     @example(argv=["table1", "--rho=1e-300", "--m1=5e-324", "--sigma1=1e-320", "--count=3"])
     @example(argv=["mutual-info", "--sigma1=1e-300", "--span=1e300", "--n=3"])
     @example(argv=["decompose", "@state.csv", "--n-symbols=0"])
+    @example(argv=["info", "--K=2", "--n-symbols=1" + "0" * 400])
+    @example(argv=["info", "--K=1e300", "--n-symbols=1" + "0" * 306])
+    @example(argv=["decompose", "@state.csv", "--n-symbols=1" + "0" * 400])
     @settings(max_examples=300, deadline=None)
     def test_every_argv_ends_in_a_result_or_one_error_line(self, fuzz_files, argv):
         argv = [arg.replace("@", f"{fuzz_files}/") for arg in argv]

@@ -601,6 +601,7 @@ class TestStateFiles:
     @example(header={"n1": 2, "n2": 2, "lo1": -10**400, "hi1": 1.0, "lo2": 0.0, "hi2": 1.0})
     @example(header={"n1": 2, "n2": 10**400, "lo1": 0.0, "hi1": 1.0, "lo2": 0.0, "hi2": 1.0})
     @example(header={"n1": 7, "n2": 2, "lo1": 0.0, "hi1": 1.0, "lo2": 0.0, "hi2": 1.0})
+    @example(header={"n1": 2, "n2": 2, "lo1": -2.2250738585e-313, "hi1": 0, "lo2": 0.0, "hi2": 0.5})
     @settings(max_examples=300, deadline=None)
     def test_any_json_header_loads_or_fails_at_line_one(self, tmp_path_factory, header):
         n1, n2 = header.get("n1"), header.get("n2")

@@ -135,3 +135,19 @@ class TestInfoReport:
     def test_rounds_must_be_positive(self):
         with pytest.raises(DomainError):
             info_report(2.0, 0)
+
+    @pytest.mark.parametrize("K, n", [
+        (2.0, 10 ** 400),  # n does not convert to float
+        (1.0, 10 ** 400),  # n ln K = 0, but n still does not convert
+        (1e300, 10 ** 306),  # n ln K overflows to inf
+        (1e300, 22 * 10 ** 304),  # n ln K is finite, n log2 K is not
+    ])
+    def test_rounds_whose_information_leaves_the_float_range_are_rejected(self, K, n):
+        for f in (info_report, schmidt_information, effective_microstates, coincidence_probability):
+            with pytest.raises(DomainError, match="n \\* log2 K must be a finite float"):
+                f(K, n)
+
+    def test_largest_finite_information_is_reported(self):
+        report = info_report(1e300, 18 * 10 ** 304)
+        assert math.isfinite(report.I_bits) and report.I_bits > 1.79e308
+        assert report.w_log_space and report.p_coincidence == 0.0

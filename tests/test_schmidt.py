@@ -54,6 +54,20 @@ def svd_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def eigvalsh_shapes(monkeypatch):
+    """The shape of every np.linalg.eigvalsh argument."""
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return shapes
+
+
 def cholesky_qr_pass(y, shifted):
     """Y L^-T with L L^T = Y^T Y, plus 11 (m n + n (n + 1)) eps tr(Y^T Y) I when shifted."""
     gram = y.T @ y
@@ -621,7 +635,7 @@ class TestDeferredModes:
 
 
 def window_of(state):
-    return schmidt_module._window(state.amplitudes, state._squared_norm)[:2]
+    return schmidt_module._window(state.amplitudes, state._squared_norm)[0][:2]
 
 
 def removed_mass(a, window):
@@ -637,24 +651,22 @@ class TestGramWindow:
 
     EPS = float(np.finfo(float).eps)
 
-    @pytest.fixture
-    def eigvalsh_shapes(self, monkeypatch):
-        shapes = []
-        eigvalsh = np.linalg.eigvalsh
-
-        def spy(a, *args, **kwargs):
-            shapes.append(a.shape)
-            return eigvalsh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-        return shapes
-
     @pytest.fixture(scope="class")
     def gaussian(self):
         params = GaussianParams(m1=1.0, m2=-1.0, sigma1=2.0, sigma2=1.0, rho=0.9995)
         state = gaussian_state(params, 1000, span=10.0)
         dense = np.linalg.svd(state.amplitudes, compute_uv=False) ** 2
         return state, decompose(state), dense
+
+    @pytest.fixture(scope="class")
+    def off_centre(self):
+        # The box of the `gaussian` fixture moved by one sigma on each axis:
+        # not centrosymmetric, so the window's single Gram matrix is used.
+        params = GaussianParams(m1=1.0, m2=-1.0, sigma1=2.0, sigma2=1.0, rho=0.9995)
+        grid = GridSpec(n1=1000, n2=1000, lo1=-17.0, hi1=23.0, lo2=-10.0, hi2=10.0)
+        state = sample_state(lambda x1, x2: wavefunction(params, x1, x2), grid)
+        dense = np.linalg.svd(state.amplitudes, compute_uv=False) ** 2
+        return state, dense
 
     def test_full_support_window_is_the_whole_matrix(self):
         noise = np.random.default_rng(29).standard_normal((300, 300))
@@ -665,8 +677,8 @@ class TestGramWindow:
         expected = np.maximum(np.linalg.eigvalsh(a.T @ a)[::-1], 0.0)
         assert spectrum.weights.tobytes() == expected.tobytes()
 
-    def test_gram_is_summed_over_the_nonzero_bands(self, gaussian, monkeypatch):
-        state, _, dense = gaussian
+    def test_gram_is_summed_over_the_nonzero_bands(self, off_centre, monkeypatch):
+        state, dense = off_centre
         a = state.amplitudes
         seen = {}
         window = schmidt_module._window
@@ -684,7 +696,8 @@ class TestGramWindow:
         monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh_spy)
         weights = decompose(state).weights
         assert float(np.max(np.abs(weights - dense))) <= 1e-14
-        rows, cols, bands = seen["window"]
+        (rows, cols, bands), hull = seen["window"]
+        assert hull is None
         w = a[rows, cols]
         m1, m2 = w.shape
         assert m2 <= m1
@@ -713,7 +726,7 @@ class TestGramWindow:
         state, _, dense = gaussian
         a = np.ascontiguousarray(state.amplitudes.T)
         total = discretize._sum_of_squares(a)
-        rows, cols, bands = schmidt_module._window(a, total)
+        (rows, cols, bands), _ = schmidt_module._window(a, total)
         w = a[rows, cols]
         assert w.shape[1] > w.shape[0]
         column_bands = schmidt_module._column_bands(bands, w.shape[1])
@@ -757,9 +770,10 @@ class TestGramWindow:
         assert float(np.max(np.abs(spectrum.weights - dense))) <= 1e-14
 
     def test_rectangular_window_uses_its_smaller_gram(self, eigvalsh_shapes):
-        # A box of 10 sigma on each side of the mean, on 256 x 300 cells.
+        # A box of 10 sigma on each side of the mean, on 256 x 300 cells,
+        # moved by one sigma on each axis so that it is not centrosymmetric.
         params = GaussianParams(m1=1.0, m2=-1.0, sigma1=2.0, sigma2=1.0, rho=0.9995)
-        grid = GridSpec(n1=256, n2=300, lo1=-19.0, hi1=21.0, lo2=-11.0, hi2=9.0)
+        grid = GridSpec(n1=256, n2=300, lo1=-17.0, hi1=23.0, lo2=-10.0, hi2=10.0)
         state = sample_state(lambda x1, x2: wavefunction(params, x1, x2), grid)
         a = state.amplitudes
         rows, cols = window_of(state)
@@ -772,6 +786,201 @@ class TestGramWindow:
         assert np.all(spectrum.weights[min(m1, m2):] == 0.0)
         dense = np.linalg.svd(a, compute_uv=False) ** 2
         assert float(np.max(np.abs(spectrum.weights - dense))) <= 1e-14
+
+
+    def test_gram_route_peak_memory_at_n1000(self, gaussian):
+        state = gaussian[0]
+        tracemalloc.start()
+        try:
+            spectrum = decompose(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert spectrum.rank == 1000 and spectrum.discarded_weight == 0.0
+        # Three quadrants of the hull's ~830 x 830 Gram matrix and one band's
+        # product, ~0.60 times the state; the whole Gram matrix and one band's
+        # product peaked at 0.74 times.
+        assert peak <= 0.65 * state.amplitudes.nbytes
+
+
+def single_gram_weights(a, window):
+    """The window's Gram eigenvalues, summed band by band, as the Gram route
+    computed them before the parity split, padded with zeros."""
+    rows, cols, bands = window
+    w = a[rows, cols]
+    m1, m2 = w.shape
+    if m2 <= m1:
+        gram = np.zeros((m2, m2))
+        for band_rows, band_cols in bands:
+            part = w[band_rows, band_cols]
+            gram[band_cols, band_cols] += part.T @ part
+    else:
+        gram = np.zeros((m1, m1))
+        for band_cols, band_rows in schmidt_module._column_bands(bands, m2):
+            part = w[band_rows, band_cols]
+            gram[band_rows, band_rows] += part @ part.T
+    weights = np.zeros(min(a.shape))
+    weights[:gram.shape[0]] = np.maximum(np.linalg.eigvalsh(gram)[::-1], 0.0)
+    return weights
+
+
+def centred_state(shape, rho, span=10.0):
+    """A Gaussian state on a box of `span` sigmas about the means, which is
+    centrosymmetric up to rounding."""
+    params = GaussianParams(m1=1.0, m2=-1.0, sigma1=2.0, sigma2=1.0, rho=rho)
+    box = build_grid(params, shape[0], span=span)
+    grid = GridSpec(n1=shape[0], n2=shape[1], lo1=box.lo1, hi1=box.hi1, lo2=box.lo2, hi2=box.hi2)
+    return sample_state(lambda x1, x2: wavefunction(params, x1, x2), grid)
+
+
+def antisymmetric_bump(shape):
+    """X - J X J for X = 1 on two patches that a centred Gaussian state of
+    rho near +-1 leaves at 0: the rows of the middle against columns near
+    the right edge, and the columns of the middle against rows near the
+    bottom.  It keeps every row and column mass mirrored but couples the
+    even and odd sectors of both Gram matrices."""
+    n1, n2 = shape
+    x = np.zeros(shape)
+    x[n1 // 2 - 5:n1 // 2 + 5, n2 - 60:n2 - 40] = 1.0
+    x[n1 - 60:n1 - 40, n2 // 2 - 5:n2 // 2 + 5] = 1.0
+    return x - x[::-1, ::-1]
+
+
+def split_of(state):
+    """The parity split of the state's centrosymmetric hull: the weights,
+    the reported ||E||_F, the budget it is held to and the hull's Gram
+    eigenvalues without the split."""
+    a = state.amplitudes
+    _, hull = schmidt_module._window(a, state._squared_norm)
+    assert hull is not None
+    w, bands = schmidt_module._tall(a, *hull)
+    weights, cross = schmidt_module._parity_split(*schmidt_module._quadrants(w, bands))
+    single = schmidt_module._eigenvalues(schmidt_module._gram(w, bands))
+    return weights, cross, weights.size * TestGramWindow.EPS * weights[0], single
+
+
+def corner_state():
+    """The mean near a corner of the box (see TestGramWindow)."""
+    params = GaussianParams(m1=0.0, m2=0.0, sigma1=1.0, sigma2=1.0, rho=0.9995)
+    grid = GridSpec(n1=300, n2=300, lo1=-2.0, hi1=18.0, lo2=-2.0, hi2=18.0)
+    return sample_state(lambda x1, x2: wavefunction(params, x1, x2), grid)
+
+
+def noise_state():
+    noise = np.random.default_rng(5).standard_normal((256, 300))
+    return unit_square_state(noise / np.linalg.norm(noise))
+
+
+def curved_state():
+    """tests/test_paper_claims.py's parabola at s = 0.25: symmetric in x1
+    only, so its row masses mirror and its column masses do not."""
+    grid = GridSpec(n1=400, n2=400, lo1=-6.0, hi1=6.0, lo2=-6.0, hi2=14.0)
+    return sample_state(lambda x1, x2: np.exp(-x1 ** 2 / 4 - (x2 - x1 ** 2) ** 2 / 0.25), grid)
+
+
+class TestParitySplit:
+    """A centrosymmetric state's Gram matrix splits into an even and an odd
+    block; the block between them is dropped when its norm is certified
+    inside the route's accuracy."""
+
+    # The two eigensolvers' own rounding, beside the certified ||E||_F: it
+    # added at most 1.3e-16 over the 64 split states of the README's sweep.
+    ROUNDING = 1e-15
+
+    @pytest.fixture(scope="class", params=[
+        ((1000, 1000), 0.998), ((1000, 1000), -0.9995), ((999, 999), 0.999),
+        ((999, 999), -0.998), ((256, 300), 0.998), ((256, 300), -0.998),
+    ], ids=lambda c: f"{c[0][0]}x{c[0][1]}-rho{c[1]}")
+    def centred(self, request):
+        state = centred_state(*request.param)
+        dense = np.linalg.svd(state.amplitudes, compute_uv=False) ** 2
+        return state, dense
+
+    def test_split_weights_lie_within_the_certified_bound(self, centred, eigvalsh_shapes):
+        state, dense = centred
+        a = state.amplitudes
+        spectrum = decompose(state)
+        window, hull = schmidt_module._window(a, state._squared_norm)
+        rows, cols, _ = hull
+        m = min(rows.stop - rows.start, cols.stop - cols.start)
+        # Two half-size eigenproblems, the even one holding a middle vector.
+        assert eigvalsh_shapes == [((m + 1) // 2, (m + 1) // 2), (m // 2, m // 2)]
+        # The hull keeps the smaller cut of each pair of opposite edges.
+        n1, n2 = a.shape
+        assert rows.start == n1 - rows.stop and cols.start == n2 - cols.stop
+        assert rows.start <= window[0].start and cols.start <= window[1].start
+        assert removed_mass(a, (rows, cols)) <= removed_mass(a, window[:2]) <= TestGramWindow.EPS
+        weights, cross, budget, single = split_of(state)
+        assert 0.0 < cross <= budget
+        assert spectrum.rank == min(n1, n2) and spectrum.discarded_weight == 0.0
+        assert spectrum.weights[:m].tobytes() == weights.tobytes()
+        assert np.all(spectrum.weights[m:] == 0.0)
+        # Weyl: dropping E moves each eigenvalue by at most ||E||_2 <= ||E||_F.
+        assert float(np.max(np.abs(weights - single))) <= cross + self.ROUNDING
+        assert float(np.max(np.abs(spectrum.weights - dense))) <= 1e-14
+
+    def test_quadrants_hold_the_gram_bits(self, centred):
+        state, _ = centred
+        a = state.amplitudes
+        _, hull = schmidt_module._window(a, state._squared_norm)
+        w, bands = schmidt_module._tall(a, *hull)
+        gram = schmidt_module._gram(w, bands)
+        top, bottom, corner = schmidt_module._quadrants(w, bands)
+        h = top.shape[0]
+        assert top.tobytes() == gram[:h, :h].tobytes()
+        assert bottom.tobytes() == gram[h:, h:].tobytes()
+        assert corner.tobytes() == gram[:h, h:].tobytes()
+
+    @pytest.mark.parametrize("m", [7, 8])
+    def test_blocks_are_the_even_odd_change_of_basis(self, m):
+        # A symmetric G far from J G J = G, so E is not rounding noise.
+        x = np.random.default_rng(m).standard_normal((m, m))
+        gram = x @ x.T
+        h = (m + 1) // 2
+        basis = np.zeros((m, m))
+        for k in range(m // 2):
+            basis[[k, m - 1 - k], k] = math.sqrt(0.5)
+            basis[[k, m - 1 - k], h + k] = (math.sqrt(0.5), -math.sqrt(0.5))
+        if m % 2:
+            basis[m // 2, m // 2] = 1.0
+        np.testing.assert_allclose(basis.T @ basis, np.eye(m), rtol=0.0, atol=1e-15)
+        rotated = basis.T @ gram @ basis
+        quadrants = gram[:h, :h].copy(), gram[h:, h:].copy(), gram[:h, h:].copy()
+        weights, cross = schmidt_module._parity_split(*quadrants)
+        blocks = np.r_[np.linalg.eigvalsh(rotated[:h, :h]), np.linalg.eigvalsh(rotated[h:, h:])]
+        np.testing.assert_allclose(weights, np.sort(blocks)[::-1], rtol=1e-12)
+        assert cross == pytest.approx(float(np.linalg.norm(rotated[:h, h:])), rel=1e-12)
+
+    @pytest.mark.parametrize("shape", [(300, 300), (256, 300)])
+    def test_antisymmetric_perturbation_above_the_budget_is_refused(self, shape):
+        a = centred_state(shape, 0.998).amplitudes
+        for scale, refused in ((1e-16, False), (1e-14, True)):
+            perturbed = a + scale * antisymmetric_bump(shape)
+            state = unit_square_state(perturbed / np.linalg.norm(perturbed))
+            b = state.amplitudes
+            weights, cross, budget, single = split_of(state)
+            assert (cross > budget) == refused
+            expected = single_gram_weights(b, schmidt_module._window(b, state._squared_norm)[0])
+            got = decompose(state).weights
+            if refused:
+                assert got.tobytes() == expected.tobytes()
+            else:
+                assert got[:weights.size].tobytes() == weights.tobytes()
+                assert float(np.max(np.abs(weights - single))) <= cross + self.ROUNDING
+            dense = np.linalg.svd(b, compute_uv=False) ** 2
+            assert float(np.max(np.abs(got - dense))) <= 1e-14
+
+    @pytest.mark.parametrize("make", [corner_state, noise_state, curved_state],
+                             ids=["corner-mean", "noise", "curved"])
+    def test_other_states_keep_the_single_gram_bytes(self, make):
+        state = make()
+        a, total = state.amplitudes, state._squared_norm
+        window, hull = schmidt_module._window(a, total)
+        assert hull is None
+        expected = single_gram_weights(a, window)
+        assert schmidt_module._gram_weights(a, total).tobytes() == expected.tobytes()
+        if make is not curved_state:  # the curved state takes the sketch route
+            assert decompose(state).weights.tobytes() == expected.tobytes()
 
 
 class TestSchmidtNumber:
