@@ -357,7 +357,8 @@ def _renormalized(weights: np.ndarray) -> np.ndarray:
 
 
 def main(argv=None) -> int:
-    """Dispatch, mapping exceptions to exit codes (1 input, 2 numerical)."""
+    """Dispatch, mapping exceptions to exit codes (1 input or an operating
+    system error such as an unwritable --output file, 2 numerical)."""
     try:
         cli.main(args=argv, standalone_mode=False)
     except click.ClickException as exc:
@@ -366,7 +367,7 @@ def main(argv=None) -> int:
     except click.Abort:
         click.echo("aborted", err=True)
         return 1
-    except (StateFileError, DomainError) as exc:
+    except (StateFileError, DomainError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 1
     except NumericalError as exc:

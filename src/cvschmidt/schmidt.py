@@ -24,41 +24,42 @@ how fast the spectrum decays:
   keeps it positive definite, and two plain passes follow (shifted
   CholeskyQR; Fukaya, Kannan, Nakatsukasa, Yamamoto & Yanagisawa, SIAM J.
   Sci. Comput. 42:A477, 2020).  The basis is then orthonormal to ~5e-15,
-  and at n = 1000 on 2 CPUs the four passes take 1-3 ms where Householder
-  QR took 5-6 ms.  A block that is exactly rank-deficient, such as one of
-  a rank-8 state, still makes a Cholesky factorization fail; that block
-  alone takes Householder QR (`np.linalg.qr`).  Each block after the first
-  is projected twice against Q, orthonormalized, then projected once more
-  and given one more plain pass: orthonormalizing a rank-deficient block
-  fills its missing directions with columns that need not be orthogonal
-  to Q.  Until then the leftover is tracked as the state's own row-blocked
-  squared norm minus the squares of each block of Q^T A.  The state has unit norm, so that
+  and at n = 1000 on 2 CPUs the four passes take 1-3 ms.  A block that is
+  exactly rank-deficient, such as one of a rank-8 state, still makes a
+  Cholesky factorization fail; that block alone takes Householder QR
+  (`np.linalg.qr`) beside Q, whose columns past Q's are orthogonal to it.
+  Each block after the first is projected twice against Q,
+  orthonormalized, then projected once more and given one more plain
+  pass: shifted CholeskyQR of a rank-deficient block fills its missing
+  directions with columns that need not be orthogonal to Q.  The first
+  block is formed in two such steps, its first 16 columns and then the
+  other 48 (see below).  Until the residual is computed, the leftover is
+  tracked as the state's own row-blocked squared norm minus the squares
+  of each block of Q^T A.  The state has unit norm, so that
   residual is exactly the Schmidt weight the truncation drops; it is
   reported as `discarded_weight`.  The kept weights are the eigenvalues
   of the r x r Gram matrix B B^T of the small r x n2 block B = Q^T A, read
-  as on the Gram route below (0.4 ms at r = 64, where the values-only SVD
-  of B's R factor took 3 ms).  The modes are not computed until one is
+  as on the Gram route below.  The modes are not computed until one is
   first read; that read runs the thin SVD of B, lifts its axis-1 vectors
   by Q and keeps the factors.  Their singular values, which `reconstruct`
-  uses, differ from the square roots of the weights by rounding: over 142
-  sketched states (n 256 to 1500, rho -0.95 to 0.9995, spans 8 and 10)
-  the weights and the squared singular values differed by at most
-  2.0e-15, and the weights and the dense SVD's by at most 1.7e-15.  By
+  uses, differ from the square roots of the weights by rounding: over the
+  106 sketched states of a 264-state sweep (n 256 to 1500, square and
+  rectangular, rho -0.9999 to 0.9999, spans 8 and 10) the weights and the
+  squared singular values differed by at most 1.8e-15, and the weights
+  and the dense SVD's by at most 2.0e-15.  By
   interlacing, in exact arithmetic every kept weight lies within
   `discarded_weight` below the dense one, far inside every tolerance
   downstream.
-- When the leftover weight decays so slowly per block that more than
+- When the leftover weight decays so slowly that more than
   min(n1, n2) // 4 columns would be needed, the sketch gives up and the
   weights are Gram eigenvalues, in non-increasing order with negative
-  rounding dust set to 0.  Most such states are seen before the first
-  block: a probe of its first 16 columns Y = A Omega takes the leftover
-  total - ||L^-1 Y^T A||_F^2 with Y^T Y = L L^T (the Cholesky factor, so no
-  QR), and when its decay per 16 columns predicts more than one block past
-  the cap, the Gram route starts at once.  Otherwise the first block is
-  the probe's columns beside the product with the other 48; with numpy
-  2.4 on OpenBLAS 0.3.31 that gives the bits of one 64-column product, so
-  the sketch's weights and modes are unchanged.  At n = 1000 on 2 CPUs the
-  probe takes 2-3 ms where the discarded block took 11-16 ms.  Forming a Gram matrix squares the condition
+  rounding dust set to 0.  After each step of the sketch the leftover's
+  decay per column since the current block began predicts the column
+  count.  Most such states are seen after the first block's first 16
+  columns, before its other 48 are formed; that prediction may pass the
+  cap by one block, since 16 columns capture less than the top 16 modes.
+  The certificate is checked only at whole blocks, so a state that 16
+  columns already certify still keeps 64 weights.  Forming a Gram matrix squares the condition
   number, so each weight is accurate only to about
   min(n1, n2) * eps * lambda_0 absolute (Golub & Van Loan, Matrix
   Computations, section 8.6).  The Gram matrix is that of a window W of
@@ -75,9 +76,8 @@ how fast the spectrum decays:
   adds only the product over its span.  Leaving out the zero squares
   leaves out products with amplitudes below ~1.5e-162, which moves each
   Gram entry by at most max(n1, n2) * 1.5e-162.  A highly correlated
-  state's blocks span 60-310 of the window's ~830 columns, and the
-  product takes 3-4 ms instead of 9-11 ms; a window whose blocks all span
-  every column is one product.  Against the dense SVD the gap measured
+  state's blocks span 60-310 of the window's ~830 columns; a window whose
+  blocks all span every column is one product.  Against the dense SVD the gap measured
   at most 4e-16 (33 states, n = 400 and 1000, rho 0.99 to 0.9999, spans
   6 to 10), so weights below ~1e-16 are rounding noise.  As on the sketch route, the modes are not
   computed until one is first read; here that read runs the dense SVD of
@@ -86,9 +86,8 @@ how fast the spectrum decays:
   left out of the modes or of `reconstruct`, so `discarded_weight` is
   0.0.  Past min(n1, n2) // 4 sketch columns the Gram eigenvalues are the
   cheaper route: at n = 1000 on 2 CPUs `decompose` takes ~30-35 ms for rho
-  0.998 to 0.9995 at span 10 with the parity split below (51-65 ms with
-  one Gram matrix of the ~830 x 830 window, whose `eigvalsh` alone took
-  40-50 ms), against ~120 ms for 192 sketch columns and ~205 ms for 320.
+  0.998 to 0.9995 at span 10 with the parity split below, against ~120 ms
+  for 192 sketch columns and ~205 ms for 320.
 - The Gram route splits by parity.  A state that `build_grid` and
   `sample_state` make is centrosymmetric up to rounding, A = J A J with J
   the reversal of each axis, because its box is centred on the means (the
@@ -98,21 +97,21 @@ how fast the spectrum decays:
   of half the size (Cantoni & Butler, Linear Algebra Appl. 13:275, 1976).
   When the row and column masses that the window's pass sums match their
   mirror images, the window is widened to its centrosymmetric hull, whose
-  cut mass is at most the window's; three quadrants of its G are summed
-  band by band with the bits of the whole G, rotated in place into the
-  even block, the odd block and the block E between them, and the
-  weights are the eigenvalues of the two blocks, merged.  By Weyl's
-  inequality dropping E moves each weight by at most ||E||_2 <= ||E||_F,
-  and the split is kept only when ||E||_F <= min(m1, m2) * eps * lambda_0,
-  inside the accuracy above.  Any other state, and a split that fails the
-  test (at n = 1000 from rho ~0.9999, where rounding makes ||E||_F about
-  7e-15), takes the window's single Gram matrix with its old bits.  Over
-  159 states (n 60 to 1500, odd and rectangular grids, rho -0.9999 to
-  0.9999, spans 8 and 10, off-centre boxes, noise) 64 split with ||E||_F
-  of 1.3e-16 to 7.6e-15; their weights moved by at most 4.2e-16 and lay
-  within 6.1e-16 of the dense SVD's.  At n = 1000 the two eigenproblems
-  of ~415 take ~18 ms, and the three quadrants hold 0.52 times the state
-  where one Gram matrix held 0.69.
+  cut mass is at most that of the trimmed window; three quadrants of its
+  G are summed band by band with the bits of the whole G, rotated in
+  place into the even block, the odd block and the block E between them,
+  and the weights are the eigenvalues of the two blocks, merged.  By
+  Weyl's inequality dropping E moves each weight by at most
+  ||E||_2 <= ||E||_F, and the split is kept only when
+  ||E||_F <= min(m1, m2) * eps * lambda_0, inside the accuracy above.  A
+  split that fails the test (at n = 1000 from rho ~0.9999, where rounding
+  makes ||E||_F about 7e-15) takes the hull's whole Gram matrix, and any
+  other state that of its trimmed window.  Over 159 states (n 60 to 1500,
+  odd and rectangular grids, rho -0.9999 to 0.9999, spans 8 and 10,
+  off-centre boxes, noise) 64 split with ||E||_F of 1.3e-16 to 7.6e-15;
+  their weights lay within 4.2e-16 of the whole Gram matrix's and within
+  6.1e-16 of the dense SVD's.  At n = 1000 the two eigenproblems of ~415
+  take ~18 ms, and the three quadrants hold 0.52 times the state.
 
 Sign fixing: each weight's mode pair is flipped jointly so that the
 axis-1 column's first entry whose magnitude is at least half the column's
@@ -143,8 +142,8 @@ from .util import log_divisor, validate_weights
 _BLOCK = 64
 _TAIL = 1e-14
 _CAP_DIVISOR = 4
-# Sketch columns of the probe that may send a grid to the Gram route
-# before the first block is factored (see `_probe_gives_up`).
+# Sketch columns of the first block's first step, whose decay may send a
+# grid to the Gram route before the rest of the block is formed.
 _PROBE = 16
 # CholeskyQR passes of a sketch block, shifted or not (see `_orthonormal`):
 # two shifted passes make a rank-deficient block well conditioned, and two
@@ -271,20 +270,22 @@ def _gram_weights(a: np.ndarray, total: float) -> np.ndarray:
 
     `total` is the squared norm of `a` that its state checked.  The Gram
     matrix is the smaller of W^T W and W W^T, summed band by band (see
-    `_window`).  When the state may be centrosymmetric, that of its
-    centrosymmetric hull is split into its even and odd blocks (see
-    `_parity_split`), and the split is kept when the block it drops has
-    ||E||_F <= min(m1, m2) * eps * lambda_0; otherwise, and for every other
-    state, the weights are the eigenvalues of the window's Gram matrix.
+    `_window`).  When the state may be centrosymmetric, it is split into
+    its even and odd blocks (see `_parity_split`), and the split is kept
+    when the block it drops has ||E||_F <= min(m1, m2) * eps * lambda_0;
+    otherwise, and for every other state, the weights are the eigenvalues
+    of the whole Gram matrix.
     """
-    window, hull = _window(a, total)
+    window, mirrored = _window(a, total)
+    w, bands = _tall(a, *window)
+    m = w.shape[1]
     weights = None
-    if hull is not None:
-        weights, cross = _parity_split(*_quadrants(*_tall(a, *hull)))
+    if mirrored:
+        weights, cross = _parity_split(*_quadrants(w, bands, (m + 1) // 2))
         if cross > weights.size * _EPS * weights[0]:
             weights = None
     if weights is None:
-        weights = _eigenvalues(_gram(*_tall(a, *window)))
+        weights = _eigenvalues(_quadrants(w, bands, m)[0])
     padded = np.zeros(min(a.shape))
     padded[:weights.size] = weights
     return padded
@@ -300,21 +301,12 @@ def _tall(a: np.ndarray, rows: slice, cols: slice, bands):
     return window.T, _column_bands(bands, m2)
 
 
-def _gram(w: np.ndarray, bands) -> np.ndarray:
-    """W^T W, summed over the bands of W."""
-    gram = np.zeros((w.shape[1], w.shape[1]))
-    for band_rows, band_cols in bands:
-        part = w[band_rows, band_cols]
-        gram[band_cols, band_cols] += part.T @ part
-    return gram
-
-
-def _quadrants(w: np.ndarray, bands):
-    """G[:h, :h], G[h:, h:] and G[:h, h:] of G = W^T W, h = ceil(m2 / 2),
-    with the bits that `_gram` gives them; the lower-left quadrant, the
-    transpose of the upper-right one, is not formed."""
+def _quadrants(w: np.ndarray, bands, h: int):
+    """G[:h, :h], G[h:, h:] and G[:h, h:] of G = W^T W, summed over the
+    bands of W; every entry gets the same bits whatever h is, and h = m2
+    gives G itself.  The lower-left quadrant, the transpose of the
+    upper-right one, is not formed."""
     m = w.shape[1]
-    h = (m + 1) // 2
     top, bottom, corner = np.zeros((h, h)), np.zeros((m - h, m - h)), np.zeros((h, m - h))
     for band_rows, band_cols in bands:
         part = w[band_rows, band_cols]
@@ -405,8 +397,8 @@ def _add_band(bands, along: slice, across: slice) -> None:
 def _window(a: np.ndarray, total: float):
     """The window of `a` left once leading and trailing rows and columns are
     cut, smallest mass first, while the cut masses sum to at most
-    eps * total, as (rows, cols, bands); and its centrosymmetric hull in
-    the same form, or None.
+    eps * total, as (rows, cols, bands), and whether the state's masses
+    mirror; when they do, the window is widened to its centrosymmetric hull.
 
     The row and column masses come from one row-blocked pass, with no BLAS
     call, so the window is the same at any thread count.  The cut rows and
@@ -424,12 +416,12 @@ def _window(a: np.ndarray, total: float):
     by at most max(n1, n2) * 1.5e-162.  A window whose every block spans
     all of its columns is one band, and its Gram matrix one product.
 
-    The hull keeps the smaller cut of each opposite pair of edges, so it
-    contains the window and leaves out at most the same mass.  It is
-    returned only when the row masses and the column masses each match
+    The masses mirror when the row masses and the column masses each match
     their mirror images to within min(n1, n2) * eps * total, summed over
     the axis: a test, before any product, that the state may be
-    centrosymmetric.
+    centrosymmetric.  The hull keeps the smaller cut of each opposite pair
+    of edges, so it contains the window and leaves out at most the same
+    mass.
     """
     n1, n2 = a.shape
     rows = np.empty(n1)
@@ -457,13 +449,12 @@ def _window(a: np.ndarray, total: float):
         spent += mass
         cuts[edge] += 1
         heads[edge] = edges[edge][cuts[edge]]
-    window = _banded(spans, slice(cuts[0], n1 - cuts[1]), slice(cuts[2], n2 - cuts[3]))
     mirror = min(n1, n2) * budget
-    if not (np.sum(np.abs(rows - rows[::-1])) <= mirror
+    if (np.sum(np.abs(rows - rows[::-1])) <= mirror
             and np.sum(np.abs(cols - cols[::-1])) <= mirror):
-        return window, None
-    edge, side = min(cuts[:2]), min(cuts[2:])
-    return window, _banded(spans, slice(edge, n1 - edge), slice(side, n2 - side))
+        edge, side = min(cuts[:2]), min(cuts[2:])
+        return _banded(spans, slice(edge, n1 - edge), slice(side, n2 - side)), True
+    return _banded(spans, slice(cuts[0], n1 - cuts[1]), slice(cuts[2], n2 - cuts[3])), False
 
 
 def _banded(spans, rows: slice, cols: slice):
@@ -503,50 +494,62 @@ def _sketch(a: np.ndarray, total: float):
     `total` is the squared norm of `a` that its state checked.  Returns the
     kept weights, a function that returns the sign-fixed factors (u, s, v)
     of the modes, and the discarded weight.  Returns None, holding nothing,
-    once the per-block decay of the leftover weight predicts that more than
-    min(n1, n2) // _CAP_DIVISOR columns are needed, or when the probe of
-    `_probe_gives_up` predicts more than one block beyond that.
+    once the decay of the leftover weight predicts that more than
+    min(n1, n2) // _CAP_DIVISOR columns are needed.
+
+    The first block is taken in two steps: its first _PROBE columns, then
+    the other 48, projected against them like a later block.  After each
+    step the leftover's decay per column since the
+    current block began predicts the column count.  After the probe's
+    columns the prediction may pass the cap by one block: they capture
+    less than the top _PROBE modes, so without that margin states at
+    n = 256 and 300 with rho near 0.95, which one block certifies, would go
+    to the Gram route.  The certificate is checked only at whole blocks,
+    so the kept rank is a multiple of _BLOCK.
     """
     n1, n2 = a.shape
     cap = min(n1, n2) // _CAP_DIVISOR
     test = _test_matrix(n2, 0)
-    probe = a @ test[:, :_PROBE]
-    if _probe_gives_up(a, probe, total, cap):
-        return None
-    y = np.hstack((probe, a @ test[:, _PROBE:]))
-    del probe, test  # not held through the blocks
+    y = a @ test[:, :_PROBE]
     q = np.empty((n1, 0))
     b = np.empty((0, n2))
-    leftover = total
+    start = leftover = total  # `start`: the leftover when the current block began
     while True:
         shifts = _SHIFTS
         if q.shape[1]:
             for _ in range(2):
                 y -= q @ (q.T @ y)
-            # Orthonormalizing a rank-deficient block fills its missing
+            # Shifted CholeskyQR of a rank-deficient block fills its missing
             # directions with columns that need not be orthogonal to q; one
             # more projection and CholeskyQR pass keep the basis orthonormal.
-            y = _orthonormal(y, shifts)
+            y = _orthonormal(y, shifts, q)
             y -= q @ (q.T @ y)
             shifts = (False,)
-        y = _orthonormal(y, shifts)
+        y = _orthonormal(y, shifts, q)
         block = y.T @ a
         q = np.hstack((q, y))
         b = np.vstack((b, block))
-        previous = leftover
         leftover -= float(np.sum(np.square(block)))
-        if leftover <= _TAIL:
+        columns = q.shape[1]
+        probed = columns % _BLOCK  # _PROBE after the probe's step, 0 at a whole block
+        if not probed and leftover <= _TAIL:
             # The tracked leftover cancels to rounding noise; certify directly.
             leftover = _residual(a, q, b)
             if leftover <= _TAIL:
                 break
-        decay = leftover / previous
-        if decay >= 1.0:
-            return None
-        blocks = math.ceil(math.log(_TAIL / leftover) / math.log(decay))
-        if q.shape[1] + _BLOCK * blocks > cap:
-            return None
-        y = a @ _test_matrix(n2, q.shape[1])
+        if leftover > _TAIL:
+            decay = leftover / start
+            if decay >= 1.0:
+                return None
+            steps = math.ceil(math.log(_TAIL / leftover) / math.log(decay))
+            if columns + (probed or _BLOCK) * steps > cap + (_BLOCK if probed else 0):
+                return None
+        if probed:
+            y = a @ test[:, probed:]
+            del test  # not held through the blocks
+        else:
+            start = leftover
+            y = a @ _test_matrix(n2, columns)
     return _eigenvalues(b @ b.T), partial(_lifted, q, b), leftover
 
 
@@ -561,10 +564,12 @@ def _residual(a: np.ndarray, q: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(sums))
 
 
-def _orthonormal(y: np.ndarray, shifts) -> np.ndarray:
+def _orthonormal(y: np.ndarray, shifts, q: np.ndarray) -> np.ndarray:
     """Orthonormal columns spanning those of `y`: one CholeskyQR pass per
-    entry of `shifts`, or, when a Cholesky factorization fails, the Q of
-    `np.linalg.qr(y)`.
+    entry of `shifts`, or, when a Cholesky factorization fails, the columns
+    that follow q's in the Q of `np.linalg.qr([q, y])` for the basis `q`
+    built so far.  Those are orthogonal to q even where they fill the
+    missing directions of a rank-deficient `y`.
 
     A pass replaces Y by Y L^-T with L L^T = Y^T Y + s I; a shifted pass
     takes s = 11 (m n + n (n + 1)) eps tr(Y^T Y) for an m x n block, which
@@ -581,7 +586,7 @@ def _orthonormal(y: np.ndarray, shifts) -> np.ndarray:
                 gram[np.diag_indices(n)] += 11.0 * (m * n + n * (n + 1)) * _EPS * np.trace(gram)
             basis = basis @ np.linalg.inv(np.linalg.cholesky(gram)).T
     except np.linalg.LinAlgError:
-        basis, _ = np.linalg.qr(y)
+        basis = np.linalg.qr(np.hstack((q, y)))[0][:, q.shape[1]:]
     return basis
 
 
@@ -589,33 +594,6 @@ def _eigenvalues(gram: np.ndarray) -> np.ndarray:
     """Eigenvalues of the symmetric `gram`, non-increasing, with negative
     rounding dust set to 0."""
     return np.maximum(np.linalg.eigvalsh(gram)[::-1], 0.0)
-
-
-def _probe_gives_up(a: np.ndarray, probe: np.ndarray, total: float, cap: int) -> bool:
-    """Whether the first _PROBE sketch columns `probe` = A Omega predict more
-    than cap + _BLOCK columns.
-
-    The leftover weight of the probe's span is total - ||L^-1 Y^T A||_F^2,
-    with Y^T Y = L L^T (CholeskyQR, without forming the basis), and its
-    decay per _PROBE columns predicts the column count as the sketch's own
-    rule does per block.  A probe captures less than the top _PROBE modes,
-    so the prediction is pessimistic: without the margin of one block,
-    states at n = 256 and 300 with rho near 0.95 that one block certifies
-    would go to the Gram route.  A rank-deficient probe, whose Cholesky
-    factorization fails, predicts nothing and leaves the decision to the
-    blocks.
-    """
-    try:
-        lower = np.linalg.cholesky(probe.T @ probe)
-    except np.linalg.LinAlgError:
-        return False
-    captured = np.linalg.inv(lower) @ (probe.T @ a)
-    leftover = total - float(np.sum(np.square(captured, out=captured)))
-    decay = leftover / total
-    if not (leftover > _TAIL and decay < 1.0):
-        return False
-    steps = math.ceil(math.log(_TAIL / leftover) / math.log(decay))
-    return _PROBE * (1 + steps) > cap + _BLOCK
 
 
 def schmidt_number(weights) -> float:

@@ -234,6 +234,14 @@ class TestModes:
         assert "cannot report 160 modes: the n=400 decomposition kept 64" in err
         assert not target.exists()
 
+    def test_a_state_certified_early_still_keeps_a_whole_block(self, capsys):
+        # 16 sketch columns leave less than 1e-14 of this state; the
+        # certificate waits for the whole 64-column block.
+        code, out, err = run_cli(capsys, "modes", "--n", "400", "--rho", "0.5", "--count", "64")
+        assert (code, err) == (0, "")
+        _, rows = parse_csv(out)
+        assert len(rows) == 2 * 64 * 400
+
     def test_sigma_whose_square_underflows_is_an_input_error(self, capsys):
         code, out, err = run_cli(capsys, "modes", "--rho", "-0.9999999999999999",
                                  "--m2", "1e-320", "--sigma2", "1e-300")
@@ -575,6 +583,33 @@ class TestGridBudget:
         code, out, err = run_cli(capsys, "decompose", str(path))
         assert (code, out) == (1, "")
         assert "budget of 16777216 (line 1)" in err
+
+
+class TestOutputFile:
+    """An --output file that cannot be written ends in one error line and exit 1."""
+
+    @pytest.mark.parametrize("argv", [
+        ["table1", "--grids", "8"],
+        ["modes", "--n", "8", "--count", "2"],
+        ["decompose", "@state.csv"],
+        ["mutual-info", "--n", "8"],
+        ["thermo", "--points", "2"],
+        ["simulate", "--rho", "0.5", "--trials", "10"],
+        ["info", "--K", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_missing_directory_is_one_error_line(self, capsys, fuzz_files, argv):
+        argv = [arg.replace("@", f"{fuzz_files}/") for arg in argv]
+        target = fuzz_files / "missing" / "out.csv"
+        code, out, err = run_cli(capsys, *argv, "--output", str(target))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(target) in err
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs a device that is always full")
+    def test_full_device_is_one_error_line(self, capsys):
+        code, out, err = run_cli(capsys, "info", "--K", "2", "--output", "/dev/full")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # Inputs for the contract fuzz: floats at and past the edges of the double

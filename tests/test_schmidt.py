@@ -304,7 +304,7 @@ class TestCertificate:
         finally:
             tracemalloc.stop()
         assert spectrum.rank < 1000 and 0.0 < spectrum.discarded_weight <= 1e-14
-        # The basis, the block Q^T A and the test matrix, ~0.33 times the
+        # The basis, the block Q^T A and the test matrix, ~0.29 times the
         # state; the certificate's grid-sized residual Q B - A peaked at ~1.26.
         assert peak <= 0.4 * state.amplitudes.nbytes
 
@@ -332,7 +332,7 @@ class TestCertificate:
         spectrum = decompose(unit_square_state(noise / np.linalg.norm(noise)))
         assert spectrum.rank == 300
         assert spectrum.discarded_weight == 0.0
-        # The 16-column probe predicts the fallback before any block's QR.
+        # The first 16 columns predict the fallback; no step takes QR.
         assert len(blocks) == 0
 
     def test_one_sum_of_squares_per_sketched_decompose(self, reference_params, monkeypatch):
@@ -441,8 +441,8 @@ class TestModesAgainstTheOracle:
 
 
 class TestRouteProbe:
-    """Before the first block, 16 sketch columns predict the column count;
-    past the cap by more than one block the Gram route starts at once."""
+    """The first block is taken in two steps: its first 16 test columns,
+    whose decay may start the Gram route at once, then the other 48."""
 
     @pytest.fixture
     def qr_calls(self, monkeypatch):
@@ -456,30 +456,57 @@ class TestRouteProbe:
         monkeypatch.setattr(np.linalg, "qr", spy)
         return calls
 
-    def test_probe_sends_a_highk_state_to_the_gram_route(self, qr_calls):
+    @staticmethod
+    def probe_leftover(state):
+        """The weight left outside the span of the first 16 sketch columns."""
+        a = state.amplitudes
+        y = a @ schmidt_module._test_matrix(a.shape[1], 0)[:, :16]
+        q = schmidt_module._orthonormal(y, schmidt_module._SHIFTS, np.empty((a.shape[0], 0)))
+        return state._squared_norm - float(np.sum(np.square(q.T @ a)))
+
+    def test_probe_sends_a_highk_state_to_the_gram_route(self, qr_calls, monkeypatch):
         params = GaussianParams(m1=1.0, m2=-1.0, sigma1=2.0, sigma2=1.0, rho=0.9995)
         state = gaussian_state(params, 1000, span=10.0)
+        steps = []
+        orthonormal = schmidt_module._orthonormal
+
+        def spy(y, shifts, q):
+            steps.append(y.shape)
+            return orthonormal(y, shifts, q)
+
+        monkeypatch.setattr(schmidt_module, "_orthonormal", spy)
         assert schmidt_module._sketch(state.amplitudes, state._squared_norm) is None
+        # The 16 columns alone: no QR and no step with the other 48.
+        assert steps == [(1000, 16)]
         spectrum = decompose(state)
         assert spectrum.rank == 1000 and spectrum.discarded_weight == 0.0
         assert qr_calls == []
 
     @pytest.mark.parametrize("rho", [0.88, 0.9, -0.92])
-    def test_lowk_state_keeps_the_single_block_bytes(self, rho, qr_calls):
-        # The probe's 16 columns are the first 16 of the block's test matrix;
-        # the block, its two shifted and two plain CholeskyQR passes and the
-        # Gram eigenvalues are those of one 64-column block.
+    def test_lowk_state_keeps_the_two_step_block_bytes(self, rho, qr_calls):
+        # The block is the test matrix's first 16 columns, orthonormalized by
+        # two shifted and two plain CholeskyQR passes, then its other 48,
+        # projected against them like a later block.
         params = GaussianParams(m1=0.3, m2=-0.2, sigma1=1.7, sigma2=0.8, rho=rho)
         state = gaussian_state(params, 1000, span=8.0)
         a = state.amplitudes
         spectrum = decompose(state)
         assert qr_calls == []
-        y = a @ schmidt_module._test_matrix(1000, 0)
+        test = schmidt_module._test_matrix(1000, 0)
+        first = a @ test[:, :16]
+        for shifted in (True, True, False, False):
+            first = cholesky_qr_pass(first, shifted)
+        y = a @ test[:, 16:]
+        for _ in range(2):
+            y -= first @ (first.T @ y)
         for shifted in (True, True, False, False):
             y = cholesky_qr_pass(y, shifted)
-        b = y.T @ a
+        y -= first @ (first.T @ y)
+        y = cholesky_qr_pass(y, False)
+        q = np.hstack((first, y))
+        b = np.vstack((first.T @ a, y.T @ a))
         weights = np.maximum(np.linalg.eigvalsh(b @ b.T)[::-1], 0.0)
-        u, _, v = schmidt_module._lifted(y, b)
+        u, _, v = schmidt_module._lifted(q, b)
         assert spectrum.rank == 64 and 0.0 < spectrum.discarded_weight <= 1e-14
         assert spectrum.weights.tobytes() == weights.tobytes()
         assert spectrum.modes1.tobytes() == u.tobytes()
@@ -487,37 +514,49 @@ class TestRouteProbe:
 
     @pytest.mark.parametrize("rho", [0.95, -0.96])
     def test_one_block_margin_keeps_the_sketch_route(self, rho):
-        # At n = 256 the cap is one block.  The probe captures less than the
-        # top 16 modes and predicts more than 64 columns, but not more than
-        # 128; one block then certifies the state.
+        # At n = 256 the cap is one block.  The 16 columns capture less than
+        # the top 16 modes and predict more than 64 columns, but not more
+        # than 128; one block then certifies the state.
         params = GaussianParams(m1=1.0, m2=-1.0, sigma1=2.0, sigma2=1.0, rho=rho)
         state = gaussian_state(params, 256, span=8.0)
-        a, total = state.amplitudes, state._squared_norm
-        probe = a @ schmidt_module._test_matrix(256, 0)[:, :16]
-        assert schmidt_module._probe_gives_up(a, probe, total, 0)
-        assert not schmidt_module._probe_gives_up(a, probe, total, 64)
+        leftover = self.probe_leftover(state)
+        decay = leftover / state._squared_norm
+        steps = math.ceil(math.log(1e-14 / leftover) / math.log(decay))
+        assert 64 < 16 + 16 * steps <= 128
         spectrum = decompose(state)
         assert spectrum.rank == 64 and 0.0 < spectrum.discarded_weight <= 1e-14
 
-    def test_rank_deficient_probe_leaves_the_route_to_the_blocks(self, qr_calls):
-        # A rank-8 state: the probe's 16 x 16 Gram matrix is singular.
+    def test_rank_deficient_state_takes_qr_per_step(self, qr_calls):
+        # A rank-8 state: the 16 columns' Gram matrix is singular, and so is
+        # that of the other 48 once they are projected.  Each step takes QR,
+        # the second beside the 16 columns, so that the directions it fills
+        # in are orthogonal to them.
         state = unit_square_state(np.eye(300)[:, :8] @ np.eye(8, 300) / math.sqrt(8.0))
-        probe = state.amplitudes @ schmidt_module._test_matrix(300, 0)[:, :16]
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(probe.T @ probe)
         spectrum = decompose(state)
-        assert qr_calls[0] == (300, 64)
+        assert qr_calls == [(300, 16), (300, 64)]
         assert spectrum.rank == 64 and spectrum.discarded_weight <= 1e-14
         np.testing.assert_allclose(spectrum.weights[:8], 0.125, atol=1e-14)
+        for modes in (spectrum.modes1, spectrum.modes2):
+            assert float(np.max(np.abs(modes.T @ modes - np.eye(64)))) <= 1e-14
+
+    def test_certificate_waits_for_a_whole_block(self):
+        # 16 columns leave less than 1e-14 of this state (the CLI's default
+        # box); the sketch still completes the block, so the 64 modes that
+        # `modes --n 400 --rho 0.5 --count 64` asks for are kept.
+        params = GaussianParams(m1=1.0, m2=-1.0, sigma1=2.0, sigma2=1.0, rho=0.5)
+        state = gaussian_state(params, 400)
+        assert self.probe_leftover(state) <= 1e-14
+        spectrum = decompose(state)
+        assert spectrum.rank == 64 and 0.0 <= spectrum.discarded_weight <= 1e-14
 
     def test_only_a_rank_deficient_block_takes_householder_qr(self, qr_calls):
-        # A lowk block's Cholesky factors all exist; a rank-8 block's
-        # unshifted Gram matrix is singular, so that block falls back to QR.
+        # A lowk block's Cholesky factors all exist; a rank-8 state's are
+        # singular in both steps of its block, which fall back to QR.
         params = GaussianParams(m1=0.3, m2=-0.2, sigma1=1.7, sigma2=0.8, rho=0.9)
         assert decompose(gaussian_state(params, 1000, span=8.0)).rank == 64
         assert qr_calls == []
         decompose(unit_square_state(np.eye(300)[:, :8] @ np.eye(8, 300) / math.sqrt(8.0)))
-        assert qr_calls == [(300, 64)]
+        assert qr_calls == [(300, 16), (300, 64)]
 
 
 class TestDeferredSketchModes:
@@ -696,8 +735,8 @@ class TestGramWindow:
         monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh_spy)
         weights = decompose(state).weights
         assert float(np.max(np.abs(weights - dense))) <= 1e-14
-        (rows, cols, bands), hull = seen["window"]
-        assert hull is None
+        (rows, cols, bands), mirrored = seen["window"]
+        assert not mirrored
         w = a[rows, cols]
         m1, m2 = w.shape
         assert m2 <= m1
@@ -713,20 +752,17 @@ class TestGramWindow:
         assert not np.any(w[~covered] ** 2 > 0.0)
         assert multiplied < 0.5 * m1 * m2
         # The Gram matrix is the sum of the bands' products, band by band.
-        expected = np.zeros((m2, m2))
-        for band_rows, band_cols in bands:
-            part = w[band_rows, band_cols]
-            expected[band_cols, band_cols] += part.T @ part
-        assert seen["gram"].tobytes() == expected.tobytes()
+        assert seen["gram"].tobytes() == single_gram(w, bands).tobytes()
         assert float(np.max(np.abs(seen["gram"] - w.T @ w))) <= 1e-15
 
-    def test_wide_window_sums_column_bands(self, gaussian):
+    def test_wide_window_sums_column_bands(self, off_centre):
         # The fixture's window is 830 x 829, so its transpose's is wide:
         # W W^T is summed over column slices whose rows cover their squares.
-        state, _, dense = gaussian
+        state, dense = off_centre
         a = np.ascontiguousarray(state.amplitudes.T)
         total = discretize._sum_of_squares(a)
-        (rows, cols, bands), _ = schmidt_module._window(a, total)
+        (rows, cols, bands), mirrored = schmidt_module._window(a, total)
+        assert not mirrored
         w = a[rows, cols]
         assert w.shape[1] > w.shape[0]
         column_bands = schmidt_module._column_bands(bands, w.shape[1])
@@ -803,6 +839,15 @@ class TestGramWindow:
         assert peak <= 0.65 * state.amplitudes.nbytes
 
 
+def single_gram(w, bands):
+    """W^T W, each band's product added to its square of columns in turn."""
+    gram = np.zeros((w.shape[1], w.shape[1]))
+    for band_rows, band_cols in bands:
+        part = w[band_rows, band_cols]
+        gram[band_cols, band_cols] += part.T @ part
+    return gram
+
+
 def single_gram_weights(a, window):
     """The window's Gram eigenvalues, summed band by band, as the Gram route
     computed them before the parity split, padded with zeros."""
@@ -810,15 +855,9 @@ def single_gram_weights(a, window):
     w = a[rows, cols]
     m1, m2 = w.shape
     if m2 <= m1:
-        gram = np.zeros((m2, m2))
-        for band_rows, band_cols in bands:
-            part = w[band_rows, band_cols]
-            gram[band_cols, band_cols] += part.T @ part
+        gram = single_gram(w, bands)
     else:
-        gram = np.zeros((m1, m1))
-        for band_cols, band_rows in schmidt_module._column_bands(bands, m2):
-            part = w[band_rows, band_cols]
-            gram[band_rows, band_rows] += part @ part.T
+        gram = single_gram(w.T, schmidt_module._column_bands(bands, m2))
     weights = np.zeros(min(a.shape))
     weights[:gram.shape[0]] = np.maximum(np.linalg.eigvalsh(gram)[::-1], 0.0)
     return weights
@@ -851,11 +890,12 @@ def split_of(state):
     the reported ||E||_F, the budget it is held to and the hull's Gram
     eigenvalues without the split."""
     a = state.amplitudes
-    _, hull = schmidt_module._window(a, state._squared_norm)
-    assert hull is not None
+    hull, mirrored = schmidt_module._window(a, state._squared_norm)
+    assert mirrored
     w, bands = schmidt_module._tall(a, *hull)
-    weights, cross = schmidt_module._parity_split(*schmidt_module._quadrants(w, bands))
-    single = schmidt_module._eigenvalues(schmidt_module._gram(w, bands))
+    m = w.shape[1]
+    weights, cross = schmidt_module._parity_split(*schmidt_module._quadrants(w, bands, (m + 1) // 2))
+    single = schmidt_module._eigenvalues(schmidt_module._quadrants(w, bands, m)[0])
     return weights, cross, weights.size * TestGramWindow.EPS * weights[0], single
 
 
@@ -900,16 +940,15 @@ class TestParitySplit:
         state, dense = centred
         a = state.amplitudes
         spectrum = decompose(state)
-        window, hull = schmidt_module._window(a, state._squared_norm)
-        rows, cols, _ = hull
+        (rows, cols, _), mirrored = schmidt_module._window(a, state._squared_norm)
+        assert mirrored
         m = min(rows.stop - rows.start, cols.stop - cols.start)
         # Two half-size eigenproblems, the even one holding a middle vector.
         assert eigvalsh_shapes == [((m + 1) // 2, (m + 1) // 2), (m // 2, m // 2)]
-        # The hull keeps the smaller cut of each pair of opposite edges.
+        # The hull cuts each pair of opposite edges alike, at most eps in all.
         n1, n2 = a.shape
         assert rows.start == n1 - rows.stop and cols.start == n2 - cols.stop
-        assert rows.start <= window[0].start and cols.start <= window[1].start
-        assert removed_mass(a, (rows, cols)) <= removed_mass(a, window[:2]) <= TestGramWindow.EPS
+        assert removed_mass(a, (rows, cols)) <= TestGramWindow.EPS
         weights, cross, budget, single = split_of(state)
         assert 0.0 < cross <= budget
         assert spectrum.rank == min(n1, n2) and spectrum.discarded_weight == 0.0
@@ -922,11 +961,14 @@ class TestParitySplit:
     def test_quadrants_hold_the_gram_bits(self, centred):
         state, _ = centred
         a = state.amplitudes
-        _, hull = schmidt_module._window(a, state._squared_norm)
+        hull, _ = schmidt_module._window(a, state._squared_norm)
         w, bands = schmidt_module._tall(a, *hull)
-        gram = schmidt_module._gram(w, bands)
-        top, bottom, corner = schmidt_module._quadrants(w, bands)
-        h = top.shape[0]
+        m = w.shape[1]
+        gram, bottom, corner = schmidt_module._quadrants(w, bands, m)
+        assert bottom.shape == (0, 0) and corner.shape == (m, 0)
+        assert gram.tobytes() == single_gram(w, bands).tobytes()
+        h = (m + 1) // 2
+        top, bottom, corner = schmidt_module._quadrants(w, bands, h)
         assert top.tobytes() == gram[:h, :h].tobytes()
         assert bottom.tobytes() == gram[h:, h:].tobytes()
         assert corner.tobytes() == gram[:h, h:].tobytes()
@@ -960,6 +1002,7 @@ class TestParitySplit:
             b = state.amplitudes
             weights, cross, budget, single = split_of(state)
             assert (cross > budget) == refused
+            # A refused split takes the hull's single Gram matrix.
             expected = single_gram_weights(b, schmidt_module._window(b, state._squared_norm)[0])
             got = decompose(state).weights
             if refused:
@@ -975,8 +1018,8 @@ class TestParitySplit:
     def test_other_states_keep_the_single_gram_bytes(self, make):
         state = make()
         a, total = state.amplitudes, state._squared_norm
-        window, hull = schmidt_module._window(a, total)
-        assert hull is None
+        window, mirrored = schmidt_module._window(a, total)
+        assert not mirrored
         expected = single_gram_weights(a, window)
         assert schmidt_module._gram_weights(a, total).tobytes() == expected.tobytes()
         if make is not curved_state:  # the curved state takes the sketch route
