@@ -129,7 +129,7 @@ class DiscretizedState:
     # the decomposition does not sum the read-only amplitudes again.
     _squared_norm: float = dataclasses.field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, total: float | None = None):
         # A read-only view, not a copy: the checked norm cannot be broken by
         # writing through the state, and the caller's array stays writable.
         amp = np.asarray(self.amplitudes, dtype=float).view()
@@ -140,13 +140,25 @@ class DiscretizedState:
                 f"amplitude shape {amp.shape} does not match grid "
                 f"({self.grid.n1}, {self.grid.n2})"
             )
-        total = _sum_of_squares(amp)
+        if total is None:
+            total = _sum_of_squares(amp)
         # A non-finite sum has a non-finite amplitude or squares that overflow.
         if not math.isfinite(total) and not np.all(np.isfinite(amp)):
             raise DomainError("amplitudes must be finite")
         if abs(total - 1.0) > _NORM_TOL:
             raise DomainError(f"normalized state has squared norm {total!r}, not 1")
         object.__setattr__(self, "_squared_norm", total)
+
+    @classmethod
+    def _summed(cls, grid: GridSpec, amplitudes: np.ndarray, raw_norm: float,
+                total: float) -> "DiscretizedState":
+        """The state of `amplitudes`, checked against `total`, their squared
+        norm summed with the bits of `_sum_of_squares`, instead of a new walk."""
+        state = cls.__new__(cls)
+        for name, value in (("grid", grid), ("amplitudes", amplitudes), ("raw_norm", raw_norm)):
+            object.__setattr__(state, name, value)
+        state.__post_init__(total)
+        return state
 
     def probabilities(self) -> np.ndarray:
         """Joint probability matrix amplitudes**2."""
@@ -229,7 +241,9 @@ def _normalized_state(grid: GridSpec, values: np.ndarray, zero_message: str,
     fill(rows) (see `_sum_of_squares`).  Non-finite values are looked for
     only when the norm is not a positive finite number.  The norms are
     row-blocked sums with no BLAS call, so the state has the same bits at
-    any BLAS thread count.
+    any BLAS thread count.  The walk that rescales the values also sums
+    their new squares, which the state checks instead of walking them
+    again (see `_rescaled`).
     """
     scale = math.sqrt(grid.cell_area)
     squared = _sum_of_squares(values, scale, fill)
@@ -237,12 +251,8 @@ def _normalized_state(grid: GridSpec, values: np.ndarray, zero_message: str,
     # that such squares could make up takes the peak-scaled path below.
     if values.size * _TINY < squared < math.inf:
         raw_norm = math.sqrt(squared)
-        with np.errstate(under="ignore"):
-            for rows, _ in _row_blocks(values):
-                block = values[rows]
-                block *= scale
-                block /= raw_norm
-        return DiscretizedState(grid=grid, amplitudes=values, raw_norm=raw_norm)
+        total = _rescaled(values, scale, raw_norm)
+        return DiscretizedState._summed(grid, values, raw_norm, total)
     # NaN propagates through max and min, so a non-finite value shows here.
     high, low = float(np.max(values)), float(np.min(values))
     if not (math.isfinite(high) and math.isfinite(low)):
@@ -255,10 +265,27 @@ def _normalized_state(grid: GridSpec, values: np.ndarray, zero_message: str,
     # peak-scaled values instead.
     with np.errstate(under="ignore"):
         values /= peak
-        unit_norm = math.sqrt(_sum_of_squares(values))
-        values /= unit_norm
+    unit_norm = math.sqrt(_sum_of_squares(values))
+    total = _rescaled(values, None, unit_norm)
     raw_norm = peak * scale * unit_norm
-    return DiscretizedState(grid=grid, amplitudes=values, raw_norm=raw_norm)
+    return DiscretizedState._summed(grid, values, raw_norm, total)
+
+
+def _rescaled(values: np.ndarray, scale: float | None, norm: float) -> float:
+    """Multiply `values` by `scale` (when given) and divide them by `norm`
+    in place, one row block at a time, and return the sum of the squares of
+    the result, taken while each block is in cache with the blocks and ops
+    of `_sum_of_squares`, so with its bits."""
+    sums = []
+    with np.errstate(under="ignore"):
+        for rows, squares in _row_blocks(values):
+            block = values[rows]
+            if scale is not None:
+                block *= scale
+            block /= norm
+            np.multiply(block, block, out=squares)
+            sums.append(np.sum(squares))
+    return float(np.sum(sums))
 
 
 def _row_blocks(a: np.ndarray):

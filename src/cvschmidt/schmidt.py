@@ -59,35 +59,42 @@ how fast the spectrum decays:
   columns, before its other 48 are formed; that prediction may pass the
   cap by one block, since 16 columns capture less than the top 16 modes.
   The certificate is checked only at whole blocks, so a state that 16
-  columns already certify still keeps 64 weights.  Forming a Gram matrix squares the condition
-  number, so each weight is accurate only to about
+  columns already certify still keeps 64 weights.  Forming a Gram matrix
+  squares the condition number, so each weight is accurate only to about
   min(n1, n2) * eps * lambda_0 absolute (Golub & Van Loan, Matrix
-  Computations, section 8.6).  The Gram matrix is that of a window W of
-  the state: one row-blocked pass sums the squares of each row and
-  column, and leading and trailing rows and columns are cut, the smallest
-  mass first, while the cut masses total at most eps times the state's
-  squared norm.  W is a submatrix, so by Cauchy interlacing each weight
-  drops by at most the cut mass, and the drops sum to it; a unit-norm
-  state has lambda_0 >= 1 / min(n1, n2), so that is inside the accuracy
-  above.  The eigenvalues of the smaller of W^T W and W W^T are padded
-  with exact zeros to min(n1, n2), so the weights past the window are 0.
-  That Gram matrix is summed over bands: the same row-blocked pass gives
-  each block's span of columns with a nonzero square, and each block
-  adds only the product over its span.  Leaving out the zero squares
+  Computations, section 8.6).  The sketch that gives up hands on a floor
+  for lambda_0: the largest eigenvalue of B B^T over the columns it
+  formed, a Ritz value at most lambda_0 (0.70 to 1.0 of it over the sweep
+  below, mostly from the first 16 columns alone).  The Gram matrix is that
+  of a window W of the state: one row-blocked pass sums the squares of
+  each row and column, and leading and trailing rows and columns are cut,
+  the smallest mass first, while the cut masses total at most
+  max(eps * total, min(n1, n2) * eps * ritz / 2), for `total` the state's
+  squared norm and `ritz` that Ritz value.  W is a submatrix, so by Cauchy
+  interlacing each weight drops by at most the cut mass, and the drops sum
+  to it: at most half the accuracy above, and eps * total is inside it
+  too, since lambda_0 >= total / min(n1, n2).  The eigenvalues of the
+  smaller of W^T W and W W^T are padded with exact zeros to min(n1, n2),
+  so the weights past the window are 0.  At n = 1000, span 10 and rho
+  0.998 to 0.9995 the window is ~780-790 wide, against ~830 for a cut of
+  eps * total.  That Gram matrix is summed over bands: the same row-blocked
+  pass gives each block's span of columns with a nonzero square, and each
+  block adds only the product over its span.  Leaving out the zero squares
   leaves out products with amplitudes below ~1.5e-162, which moves each
   Gram entry by at most max(n1, n2) * 1.5e-162.  A highly correlated
-  state's blocks span 60-310 of the window's ~830 columns; a window whose
-  blocks all span every column is one product.  Against the dense SVD the gap measured
-  at most 4e-16 (33 states, n = 400 and 1000, rho 0.99 to 0.9999, spans
-  6 to 10), so weights below ~1e-16 are rounding noise.  As on the sketch route, the modes are not
-  computed until one is first read; here that read runs the dense SVD of
-  the whole state once and keeps its factors, whose singular values
-  differ from the square roots of the weights by rounding.  Nothing is
-  left out of the modes or of `reconstruct`, so `discarded_weight` is
-  0.0.  Past min(n1, n2) // 4 sketch columns the Gram eigenvalues are the
-  cheaper route: at n = 1000 on 2 CPUs `decompose` takes ~30-35 ms for rho
-  0.998 to 0.9995 at span 10 with the parity split below, against ~120 ms
-  for 192 sketch columns and ~205 ms for 320.
+  state's blocks span 84-325 of the window's columns; a window whose
+  blocks all span every column is one product.  Over the 81 Gram-route
+  states of a 152-state sweep (n 200 to 1000 at spans 8 and 10 and rho
+  -0.9999 to 0.9999, 256 x 300, 300 x 256, 400 x 600 and 1000 x 700
+  grids, off-centre boxes) the weights lay within 1.4e-15 of the dense
+  SVD's, the most at n = 400, rho 0.97, span 8, where the Ritz value is
+  lambda_0 and the cut 1.5e-14, so weights below ~1e-15 are rounding
+  noise.  As on the sketch route, the modes are not computed until one is
+  first read; here that read runs the dense SVD of the whole state once
+  and keeps its factors, whose singular values differ from the square
+  roots of the weights by rounding.  Nothing is left out of the modes or
+  of `reconstruct`, so `discarded_weight` is 0.0.  Past min(n1, n2) // 4
+  sketch columns the Gram eigenvalues are the cheaper route.
 - The Gram route splits by parity.  A state that `build_grid` and
   `sample_state` make is centrosymmetric up to rounding, A = J A J with J
   the reversal of each axis, because its box is centred on the means (the
@@ -106,12 +113,12 @@ how fast the spectrum decays:
   ||E||_F <= min(m1, m2) * eps * lambda_0, inside the accuracy above.  A
   split that fails the test (at n = 1000 from rho ~0.9999, where rounding
   makes ||E||_F about 7e-15) takes the hull's whole Gram matrix, and any
-  other state that of its trimmed window.  Over 159 states (n 60 to 1500,
-  odd and rectangular grids, rho -0.9999 to 0.9999, spans 8 and 10,
-  off-centre boxes, noise) 64 split with ||E||_F of 1.3e-16 to 7.6e-15;
-  their weights lay within 4.2e-16 of the whole Gram matrix's and within
-  6.1e-16 of the dense SVD's.  At n = 1000 the two eigenproblems of ~415
-  take ~18 ms, and the three quadrants hold 0.52 times the state.
+  other state that of its trimmed window.  Over the sweep above, 69 of
+  the Gram-route states mirrored and 62 split, with ||E||_F of 3.5e-18 to
+  4.2e-15; their weights lay within 5.6e-16 of the whole Gram matrix's and
+  within 1.4e-15 of the dense SVD's.  At n = 1000, span 10, the two
+  eigenproblems are of ~395, and the three quadrants hold ~0.47 times the
+  state.
 
 Sign fixing: each weight's mode pair is flipped jointly so that the
 axis-1 column's first entry whose magnitude is at least half the column's
@@ -226,8 +233,8 @@ def decompose(state: DiscretizedState) -> SchmidtSpectrum:
             s = factors[1]
             return SchmidtSpectrum(s * s, state.grid, factor=lambda: factors)
         found = _sketch(a, total)
-        if found is None:
-            return SchmidtSpectrum(_gram_weights(a, total), state.grid,
+        if isinstance(found, float):
+            return SchmidtSpectrum(_gram_weights(a, total, found), state.grid,
                                    factor=partial(_dense, a))
     weights, factor, discarded = found
     return SchmidtSpectrum(weights, state.grid, discarded, factor=factor)
@@ -264,19 +271,20 @@ def _sign_fixed(u: np.ndarray, s: np.ndarray, vt: np.ndarray):
     return u, s, v
 
 
-def _gram_weights(a: np.ndarray, total: float) -> np.ndarray:
+def _gram_weights(a: np.ndarray, total: float, ritz: float) -> np.ndarray:
     """Squared singular values of `a`, non-increasing, from the Gram matrix
     of its edge-trimmed window and padded with zeros to min(n1, n2).
 
-    `total` is the squared norm of `a` that its state checked.  The Gram
-    matrix is the smaller of W^T W and W W^T, summed band by band (see
+    `total` is the squared norm of `a` that its state checked, and `ritz` a
+    lower bound on its largest weight, which sets the window's cut.  The
+    Gram matrix is the smaller of W^T W and W W^T, summed band by band (see
     `_window`).  When the state may be centrosymmetric, it is split into
     its even and odd blocks (see `_parity_split`), and the split is kept
     when the block it drops has ||E||_F <= min(m1, m2) * eps * lambda_0;
     otherwise, and for every other state, the weights are the eigenvalues
     of the whole Gram matrix.
     """
-    window, mirrored = _window(a, total)
+    window, mirrored = _window(a, total, ritz)
     w, bands = _tall(a, *window)
     m = w.shape[1]
     weights = None
@@ -394,17 +402,22 @@ def _add_band(bands, along: slice, across: slice) -> None:
         bands.append((along, across))
 
 
-def _window(a: np.ndarray, total: float):
+def _window(a: np.ndarray, total: float, ritz: float):
     """The window of `a` left once leading and trailing rows and columns are
     cut, smallest mass first, while the cut masses sum to at most
-    eps * total, as (rows, cols, bands), and whether the state's masses
-    mirror; when they do, the window is widened to its centrosymmetric hull.
+    max(eps * total, min(n1, n2) * eps * ritz / 2), as (rows, cols, bands),
+    and whether the state's masses mirror; when they do, the window is
+    widened to its centrosymmetric hull.
 
-    The row and column masses come from one row-blocked pass, with no BLAS
-    call, so the window is the same at any thread count.  The cut rows and
-    columns share their corner cells, so the mass outside the window is at
-    most the sum of the cut masses.  The cut never reaches the last row or
-    column: they hold all but about eps of `total`.
+    `ritz` is at most the largest weight lambda_0 (the sketch's Ritz value,
+    or 0), so the cut is at most half of the Gram route's accuracy
+    min(n1, n2) * eps * lambda_0, and eps * total is inside it too, since
+    lambda_0 >= total / min(n1, n2).  By interlacing each weight drops by at
+    most the cut.  The row and column masses come from one row-blocked
+    pass, with no BLAS call, so the window is the same at any thread count.
+    The cut rows and columns share their corner cells, so the mass outside
+    the window is at most the sum of the cut masses.  The cut never reaches
+    the last row or column: the budget is below 1e-12 of `total`.
 
     A band is a pair of row and column slices of the window: the window's
     rows of one row block, or of a run of consecutive blocks with the same
@@ -439,7 +452,7 @@ def _window(a: np.ndarray, total: float):
     edges = (rows.tolist(), rows[::-1].tolist(), cols.tolist(), cols[::-1].tolist())
     cuts = [0, 0, 0, 0]
     heads = [masses[0] for masses in edges]
-    budget = _EPS * total
+    budget = max(_EPS * total, 0.5 * min(n1, n2) * _EPS * ritz)
     spent = 0.0
     while True:
         mass = min(heads)
@@ -449,7 +462,7 @@ def _window(a: np.ndarray, total: float):
         spent += mass
         cuts[edge] += 1
         heads[edge] = edges[edge][cuts[edge]]
-    mirror = min(n1, n2) * budget
+    mirror = min(n1, n2) * _EPS * total
     if (np.sum(np.abs(rows - rows[::-1])) <= mirror
             and np.sum(np.abs(cols - cols[::-1])) <= mirror):
         edge, side = min(cuts[:2]), min(cuts[2:])
@@ -469,33 +482,42 @@ def _banded(spans, rows: slice, cols: slice):
     return rows, cols, bands
 
 
-def _test_matrix(rows: int, start: int) -> np.ndarray:
-    """Columns start .. start + _BLOCK - 1 of a fixed pseudo-random test matrix.
+def _test_matrix(rows: int, start: int, count: int) -> np.ndarray:
+    """Columns start .. start + count - 1 of a fixed pseudo-random test
+    matrix, all inside one block of _BLOCK columns.
 
-    Entries are uniform in [-1, 1), each a splitmix64 hash of its position,
-    so every call returns the same bits on every platform.  Any independent
-    zero-mean entries serve the range finder, and the stopping test does not
-    depend on them; numpy.random is avoided because importing it costs about
-    6 MB of resident memory in processes that never draw from it.
+    Entries are uniform in [-1, 1), each a splitmix64 hash of its position:
+    entry i of column c = b * _BLOCK + j hashes (b * rows + i) * _BLOCK + j,
+    so a column has the same bits in every call that asks for it, on every
+    platform.  Any independent zero-mean entries serve the range finder,
+    and the stopping test does not depend on them; numpy.random is avoided
+    because importing it costs about 6 MB of resident memory in processes
+    that never draw from it.
     """
-    z = np.arange(start * rows, (start + _BLOCK) * rows, dtype=np.uint64)
+    first = start // _BLOCK * _BLOCK * rows + start % _BLOCK
+    z = np.add.outer(np.arange(rows, dtype=np.uint64) * np.uint64(_BLOCK),
+                     np.arange(first, first + count, dtype=np.uint64))
     z *= np.uint64(0x9E3779B97F4A7C15)
     z ^= z >> np.uint64(30)
     z *= np.uint64(0xBF58476D1CE4E5B9)
     z ^= z >> np.uint64(27)
     z *= np.uint64(0x94D049BB133111EB)
     z ^= z >> np.uint64(31)
-    return ((z >> np.uint64(11)).astype(float) * 2.0 ** -52 - 1.0).reshape(rows, _BLOCK)
+    return (z >> np.uint64(11)).astype(float) * 2.0 ** -52 - 1.0
 
 
 def _sketch(a: np.ndarray, total: float):
-    """Randomized factorization certified to leave out at most _TAIL, or None.
+    """Randomized factorization certified to leave out at most _TAIL, or
+    the Ritz value that starts the Gram route.
 
     `total` is the squared norm of `a` that its state checked.  Returns the
     kept weights, a function that returns the sign-fixed factors (u, s, v)
-    of the modes, and the discarded weight.  Returns None, holding nothing,
-    once the decay of the leftover weight predicts that more than
-    min(n1, n2) // _CAP_DIVISOR columns are needed.
+    of the modes, and the discarded weight.  Once the decay of the leftover
+    weight predicts that more than min(n1, n2) // _CAP_DIVISOR columns are
+    needed, returns instead, as a float and holding nothing, the largest
+    eigenvalue of B B^T for the block B = Q^T A formed so far: the largest
+    squared singular value of the orthonormal Q's projection of A, which by
+    interlacing is at most the largest weight lambda_0.
 
     The first block is taken in two steps: its first _PROBE columns, then
     the other 48, projected against them like a later block.  After each
@@ -509,8 +531,7 @@ def _sketch(a: np.ndarray, total: float):
     """
     n1, n2 = a.shape
     cap = min(n1, n2) // _CAP_DIVISOR
-    test = _test_matrix(n2, 0)
-    y = a @ test[:, :_PROBE]
+    y = a @ _test_matrix(n2, 0, _PROBE)
     q = np.empty((n1, 0))
     b = np.empty((0, n2))
     start = leftover = total  # `start`: the leftover when the current block began
@@ -539,17 +560,15 @@ def _sketch(a: np.ndarray, total: float):
                 break
         if leftover > _TAIL:
             decay = leftover / start
-            if decay >= 1.0:
-                return None
-            steps = math.ceil(math.log(_TAIL / leftover) / math.log(decay))
+            steps = (math.ceil(math.log(_TAIL / leftover) / math.log(decay))
+                     if decay < 1.0 else math.inf)
             if columns + (probed or _BLOCK) * steps > cap + (_BLOCK if probed else 0):
-                return None
+                return float(_eigenvalues(b @ b.T)[0])
         if probed:
-            y = a @ test[:, probed:]
-            del test  # not held through the blocks
+            y = a @ _test_matrix(n2, probed, _BLOCK - probed)
         else:
             start = leftover
-            y = a @ _test_matrix(n2, columns)
+            y = a @ _test_matrix(n2, columns, _BLOCK)
     return _eigenvalues(b @ b.T), partial(_lifted, q, b), leftover
 
 

@@ -311,6 +311,8 @@ class TestSampleState:
             amplitudes = unit / unit_norm
         assert np.array_equal(state.amplitudes, amplitudes)
         assert state.raw_norm == raw_norm
+        # The squares summed while rescaling have the bits of their own walk.
+        assert state._squared_norm == discretize._sum_of_squares(state.amplitudes)
         # The array the amplitude function returned is left as it was.
         assert np.array_equal(returned, values)
 
@@ -370,6 +372,26 @@ class TestMarginals:
     def test_nonfinite_joint_rejected(self, bad):
         with pytest.raises(DomainError, match="must be finite"):
             marginals(np.array([[bad, 0.25], [0.25, 0.25]]))
+
+
+def whole_block_mi(p):
+    """sum p log p - sum p1 log p1 - sum p2 log p2 over the same row blocks
+    as the library, each block's terms formed in a fresh array of its own:
+    the reference whose bits the one-walk mutual information keeps."""
+    rows, cols, sums = np.empty(p.shape[0]), np.zeros(p.shape[1]), []
+    for block_rows, _ in discretize._row_blocks(p):
+        block = p[block_rows]
+        rows[block_rows] = np.sum(block, axis=1)
+        cols += np.sum(block, axis=0)
+        terms = np.zeros_like(block)
+        np.log(block, out=terms, where=block > 0.0)
+        sums.append(np.sum(terms * block))
+    total = float(np.sum(sums))
+    for marginal in (rows, cols):
+        terms = np.zeros_like(marginal)
+        np.log(marginal, out=terms, where=marginal > 0.0)
+        total -= float(np.sum(terms * marginal))
+    return max(total, 0.0)
 
 
 class TestShannonMiNumeric:
@@ -478,6 +500,37 @@ class TestShannonMiNumeric:
             assert (discretize._mutual_information(state.amplitudes, base, squared=True)
                     == shannon_mi_numeric(state.probabilities(), base))
 
+    @pytest.mark.parametrize("rho, span, shift", [(0.9995, 10.0, 0.0), (-0.998, 10.0, 0.0),
+                                                  (0.9, 8.0, 0.0), (0.9995, 10.0, 1.0)])
+    def test_zero_holding_joints_keep_the_whole_block_bits(self, rho, span, shift):
+        # Highly correlated and off-centre joints hold zeros in most row
+        # blocks; both paths give the bits of the reference walk.
+        params = GaussianParams(m1=1.0, m2=-1.0, sigma1=2.0, sigma2=1.0, rho=rho)
+        box = build_grid(params, 1000, span=span)
+        grid = GridSpec(n1=1000, n2=1000, lo1=box.lo1 + 2.0 * shift, hi1=box.hi1 + 2.0 * shift,
+                        lo2=box.lo2 - shift, hi2=box.hi2 - shift)
+        state = sample_state(lambda x1, x2: wavefunction(params, x1, x2), grid)
+        p = state.probabilities()
+        want = whole_block_mi(p)
+        assert shannon_mi_numeric(p) == want
+        assert discretize._mutual_information(state.amplitudes, squared=True) == want
+
+    def test_all_zero_block_keeps_the_whole_block_bits(self):
+        # The first 65-row block of this 200 x 1000 joint is all zero, and
+        # the next blocks hold a diagonal band.
+        rng = np.random.default_rng(47)
+        joint = np.where(np.abs(np.arange(200)[:, None] - np.arange(1000)[None, :] / 5) < 4,
+                         rng.uniform(0.5, 1.0, (200, 1000)), 0.0)
+        joint[:100] = 0.0
+        joint /= math.fsum(joint.ravel())
+        assert not np.any(joint[:65])
+        want = whole_block_mi(joint)
+        assert want > 0.0
+        assert shannon_mi_numeric(joint) == want
+        amplitudes = np.sqrt(joint)
+        assert (discretize._mutual_information(amplitudes, squared=True)
+                == whole_block_mi(amplitudes * amplitudes))
+
     def test_peak_memory_at_n1000(self, reference_params):
         p = gaussian_state(reference_params, 1000, span=8.0).probabilities()
         tracemalloc.start()
@@ -542,6 +595,7 @@ class TestStateFiles:
         state = read_state_file(path)
         np.testing.assert_allclose(state.amplitudes, 0.5, rtol=0.0, atol=1e-15)
         assert state.raw_norm == pytest.approx(float(value), rel=1e-15)
+        assert state._squared_norm == discretize._sum_of_squares(state.amplitudes)
 
     def test_bad_header_reports_position(self, tmp_path):
         path = tmp_path / "state.csv"
@@ -618,7 +672,10 @@ class TestStateFiles:
             assert exc.line == 1 or (not body_fits and (
                 "amplitude rows" in str(exc) or "values per row" in str(exc)))
         else:
-            assert state.grid == GridSpec(**{key: header[key] for key in _HEADER_KEYS})
+            # The bounds are stored as floats: a JSON integer above 2**53
+            # reads as the float it rounds to.
+            assert state.grid == GridSpec(**{key: header[key] if key in ("n1", "n2")
+                                             else float(header[key]) for key in _HEADER_KEYS})
 
     @pytest.mark.parametrize("header", [
         '{"n1": ' + "1" * 5000 + ', "n2": 2, "lo1": 0, "hi1": 1, "lo2": 0, "hi2": 1}',

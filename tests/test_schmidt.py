@@ -346,11 +346,13 @@ class TestCertificate:
         monkeypatch.setattr(discretize, "_sum_of_squares", counting)
         monkeypatch.setattr(schmidt_module, "_sum_of_squares", counting, raising=False)
         state = gaussian_state(reference_params, 400, span=8.0)
-        # The raw norm before the rescale, and the unit-norm check after it.
-        assert calls == [(400, 400)] * 2
+        # The raw norm before the rescale; the walk that rescales sums the
+        # squares the state checks, with the bits of a walk of their own.
+        assert calls == [(400, 400)]
+        assert state._squared_norm == sum_of_squares(state.amplitudes)
         spectrum = decompose(state)
         spectrum.modes1
-        assert calls == [(400, 400)] * 2
+        assert calls == [(400, 400)]
         assert spectrum.rank < 400
         # The sketch fed a squared norm summed again from the amplitudes.
         weights, factor, discarded = schmidt_module._sketch(state.amplitudes,
@@ -460,27 +462,61 @@ class TestRouteProbe:
     def probe_leftover(state):
         """The weight left outside the span of the first 16 sketch columns."""
         a = state.amplitudes
-        y = a @ schmidt_module._test_matrix(a.shape[1], 0)[:, :16]
+        y = a @ schmidt_module._test_matrix(a.shape[1], 0, 16)
         q = schmidt_module._orthonormal(y, schmidt_module._SHIFTS, np.empty((a.shape[0], 0)))
         return state._squared_norm - float(np.sum(np.square(q.T @ a)))
 
-    def test_probe_sends_a_highk_state_to_the_gram_route(self, qr_calls, monkeypatch):
+    def test_probe_sends_a_highk_state_to_the_gram_route(self, qr_calls, monkeypatch,
+                                                          eigvalsh_shapes):
         params = GaussianParams(m1=1.0, m2=-1.0, sigma1=2.0, sigma2=1.0, rho=0.9995)
         state = gaussian_state(params, 1000, span=10.0)
         steps = []
+        hashed = []
         orthonormal = schmidt_module._orthonormal
+        test_matrix = schmidt_module._test_matrix
 
         def spy(y, shifts, q):
             steps.append(y.shape)
             return orthonormal(y, shifts, q)
 
+        def test_matrix_spy(rows, start, count):
+            hashed.append((rows, start, count))
+            return test_matrix(rows, start, count)
+
         monkeypatch.setattr(schmidt_module, "_orthonormal", spy)
-        assert schmidt_module._sketch(state.amplitudes, state._squared_norm) is None
-        # The 16 columns alone: no QR and no step with the other 48.
-        assert steps == [(1000, 16)]
+        monkeypatch.setattr(schmidt_module, "_test_matrix", test_matrix_spy)
+        ritz = schmidt_module._sketch(state.amplitudes, state._squared_norm)
+        # The 16 columns alone: no QR, no step with the other 48 and none of
+        # their test columns hashed.  The Ritz value handed on is the top
+        # eigenvalue of the 16 x 16 Gram matrix of B = Q^T A.
+        assert steps == [(1000, 16)] and hashed == [(1000, 0, 16)]
+        assert eigvalsh_shapes == [(16, 16)]
+        assert isinstance(ritz, float) and ritz > 0.0
         spectrum = decompose(state)
         assert spectrum.rank == 1000 and spectrum.discarded_weight == 0.0
         assert qr_calls == []
+        dense = np.linalg.svd(state.amplitudes, compute_uv=False) ** 2
+        assert ritz <= dense[0]
+        assert float(np.max(np.abs(spectrum.weights - dense))) <= 1e-14
+
+    def test_test_columns_keep_their_hash_in_any_step(self):
+        # Each column hashes its position in its 64-column block, so the
+        # probe's 16 columns and the other 48 are the block's own columns.
+        rows = 300
+        block = schmidt_module._test_matrix(rows, 64, 64)
+        parts = (schmidt_module._test_matrix(rows, 64, 16), schmidt_module._test_matrix(rows, 80, 48))
+        assert np.hstack(parts).tobytes() == block.tobytes()
+        mask = (1 << 64) - 1
+
+        def splitmix64(z):
+            z = z * 0x9E3779B97F4A7C15 & mask
+            z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & mask
+            z = (z ^ z >> 27) * 0x94D049BB133111EB & mask
+            return (z ^ z >> 31) >> 11
+
+        for i, j in ((0, 0), (7, 3), (299, 63)):
+            position = (1 * rows + i) * 64 + j
+            assert block[i, j] == splitmix64(position) * 2.0 ** -52 - 1.0
 
     @pytest.mark.parametrize("rho", [0.88, 0.9, -0.92])
     def test_lowk_state_keeps_the_two_step_block_bytes(self, rho, qr_calls):
@@ -492,7 +528,7 @@ class TestRouteProbe:
         a = state.amplitudes
         spectrum = decompose(state)
         assert qr_calls == []
-        test = schmidt_module._test_matrix(1000, 0)
+        test = schmidt_module._test_matrix(1000, 0, 64)
         first = a @ test[:, :16]
         for shifted in (True, True, False, False):
             first = cholesky_qr_pass(first, shifted)
@@ -673,8 +709,21 @@ class TestDeferredModes:
             assert a.tobytes() == b.tobytes()
 
 
+def ritz_of(state):
+    """The Ritz value that the sketch hands to the Gram route, or 0.0 for a
+    state that it certifies."""
+    found = schmidt_module._sketch(state.amplitudes, state._squared_norm)
+    return found if isinstance(found, float) else 0.0
+
+
 def window_of(state):
-    return schmidt_module._window(state.amplitudes, state._squared_norm)[0][:2]
+    return schmidt_module._window(state.amplitudes, state._squared_norm, ritz_of(state))[0][:2]
+
+
+def cut_budget(state):
+    """The most mass the Gram route's window may cut from the state."""
+    eps = float(np.finfo(float).eps)
+    return max(eps * state._squared_norm, 0.5 * min(state.amplitudes.shape) * eps * ritz_of(state))
 
 
 def removed_mass(a, window):
@@ -686,7 +735,9 @@ def removed_mass(a, window):
 
 class TestGramWindow:
     """The Gram route takes its eigenvalues from the window left after cutting
-    edge rows and columns that hold at most eps of the squared norm."""
+    edge rows and columns that hold at most
+    max(eps * total, min(n1, n2) * eps * ritz / 2) of the squared norm, for
+    the sketch's Ritz value ritz <= lambda_0."""
 
     EPS = float(np.finfo(float).eps)
 
@@ -755,13 +806,15 @@ class TestGramWindow:
         assert seen["gram"].tobytes() == single_gram(w, bands).tobytes()
         assert float(np.max(np.abs(seen["gram"] - w.T @ w))) <= 1e-15
 
-    def test_wide_window_sums_column_bands(self, off_centre):
-        # The fixture's window is 830 x 829, so its transpose's is wide:
-        # W W^T is summed over column slices whose rows cover their squares.
-        state, dense = off_centre
-        a = np.ascontiguousarray(state.amplitudes.T)
-        total = discretize._sum_of_squares(a)
-        (rows, cols, bands), mirrored = schmidt_module._window(a, total)
+    def test_wide_window_sums_column_bands(self):
+        # A 600 x 700 box, moved off the means like the `off_centre` one: its
+        # window is wide, so W W^T is summed over column slices whose rows
+        # cover their squares.
+        params = GaussianParams(m1=1.0, m2=-1.0, sigma1=2.0, sigma2=1.0, rho=0.9995)
+        grid = GridSpec(n1=600, n2=700, lo1=-17.0, hi1=23.0, lo2=-10.0, hi2=10.0)
+        state = sample_state(lambda x1, x2: wavefunction(params, x1, x2), grid)
+        a, total, ritz = state.amplitudes, state._squared_norm, ritz_of(state)
+        (rows, cols, bands), mirrored = schmidt_module._window(a, total, ritz)
         assert not mirrored
         w = a[rows, cols]
         assert w.shape[1] > w.shape[0]
@@ -772,19 +825,41 @@ class TestGramWindow:
             covered[band_rows, band_cols] = True
         assert not np.any(w[~covered] ** 2 > 0.0)
         assert np.count_nonzero(covered) < 0.5 * w.size
-        weights = schmidt_module._gram_weights(a, total)
+        weights = schmidt_module._gram_weights(a, total, ritz)
+        dense = np.linalg.svd(a, compute_uv=False) ** 2
         assert float(np.max(np.abs(weights - dense))) <= 1e-14
 
-    def test_gaussian_window_drops_at_most_eps(self, gaussian):
+    def test_gaussian_window_drops_at_most_its_budget(self, gaussian):
         state, spectrum, dense = gaussian
         a = state.amplitudes
         rows, cols = window_of(state)
         assert rows.stop - rows.start < 1000 and cols.stop - cols.start < 1000
-        assert removed_mass(a, (rows, cols)) <= self.EPS
+        assert removed_mass(a, (rows, cols)) <= cut_budget(state)
         kept = min(rows.stop - rows.start, cols.stop - cols.start)
         assert np.all(spectrum.weights[kept:] == 0.0)
         assert spectrum.rank == 1000 and spectrum.discarded_weight == 0.0
         assert float(np.max(np.abs(spectrum.weights - dense))) <= 1e-14
+
+    def test_cut_stays_within_half_the_accuracy_at_the_ritz_value(self, gaussian):
+        state, _, dense = gaussian
+        a, total = state.amplitudes, state._squared_norm
+        ritz = ritz_of(state)
+        # The top eigenvalue of B B^T for the sketch's 16 columns: a Ritz
+        # value, at most lambda_0.
+        assert 0.5 * dense[0] < ritz <= dense[0]
+        rows, cols = window_of(state)
+        cut = removed_mass(a, (rows, cols))
+        # The Ritz rule, not eps * total, sets this state's cut, and the
+        # window is smaller than the one that eps * total alone leaves.
+        assert self.EPS * total < cut <= 0.5 * 1000 * self.EPS * ritz
+        (eps_rows, eps_cols, _), _ = schmidt_module._window(a, total, 0.0)
+        assert eps_rows.stop - eps_rows.start > rows.stop - rows.start
+        assert eps_cols.stop - eps_cols.start > cols.stop - cols.start
+        # Interlacing: each weight of the window lies at most the cut below
+        # the state's, up to the two SVDs' rounding.
+        kept = np.linalg.svd(a[rows, cols], compute_uv=False) ** 2
+        drops = dense[:kept.size] - kept
+        assert float(np.min(drops)) >= -1e-15 and float(np.max(drops)) <= cut + 1e-15
 
     def test_mean_near_a_corner_cuts_the_far_edges(self, eigvalsh_shapes):
         # The box runs from 2 sigma below the mean to 18 above it on each
@@ -796,11 +871,13 @@ class TestGramWindow:
         rows, cols = window_of(state)
         assert rows.start == 0 and cols.start == 0
         assert rows.stop < 300 and cols.stop < 300
-        assert removed_mass(a, (rows, cols)) <= self.EPS
+        assert removed_mass(a, (rows, cols)) <= cut_budget(state)
+        del eigvalsh_shapes[:]
         spectrum = decompose(state)
         assert spectrum.rank == 300 and spectrum.discarded_weight == 0.0
         kept = min(rows.stop, cols.stop)
-        assert eigvalsh_shapes == [(kept, kept)]
+        # The sketch's 16 x 16 Ritz problem, then the window's Gram matrix.
+        assert eigvalsh_shapes == [(16, 16), (kept, kept)]
         assert np.all(spectrum.weights[kept:] == 0.0)
         dense = np.linalg.svd(a, compute_uv=False) ** 2
         assert float(np.max(np.abs(spectrum.weights - dense))) <= 1e-14
@@ -815,10 +892,11 @@ class TestGramWindow:
         rows, cols = window_of(state)
         m1, m2 = rows.stop - rows.start, cols.stop - cols.start
         assert m1 < 256 and m2 < 300
-        assert removed_mass(a, (rows, cols)) <= self.EPS
+        assert removed_mass(a, (rows, cols)) <= cut_budget(state)
+        del eigvalsh_shapes[:]
         spectrum = decompose(state)
         assert spectrum.rank == 256 and spectrum.discarded_weight == 0.0
-        assert eigvalsh_shapes == [(min(m1, m2), min(m1, m2))]
+        assert eigvalsh_shapes == [(16, 16), (min(m1, m2), min(m1, m2))]
         assert np.all(spectrum.weights[min(m1, m2):] == 0.0)
         dense = np.linalg.svd(a, compute_uv=False) ** 2
         assert float(np.max(np.abs(spectrum.weights - dense))) <= 1e-14
@@ -833,8 +911,8 @@ class TestGramWindow:
         finally:
             tracemalloc.stop()
         assert spectrum.rank == 1000 and spectrum.discarded_weight == 0.0
-        # Three quadrants of the hull's ~830 x 830 Gram matrix and one band's
-        # product, ~0.60 times the state; the whole Gram matrix and one band's
+        # Three quadrants of the hull's ~790 x 790 Gram matrix and one band's
+        # product, ~0.55 times the state; the whole Gram matrix and one band's
         # product peaked at 0.74 times.
         assert peak <= 0.65 * state.amplitudes.nbytes
 
@@ -890,7 +968,7 @@ def split_of(state):
     the reported ||E||_F, the budget it is held to and the hull's Gram
     eigenvalues without the split."""
     a = state.amplitudes
-    hull, mirrored = schmidt_module._window(a, state._squared_norm)
+    hull, mirrored = schmidt_module._window(a, state._squared_norm, ritz_of(state))
     assert mirrored
     w, bands = schmidt_module._tall(a, *hull)
     m = w.shape[1]
@@ -924,7 +1002,7 @@ class TestParitySplit:
     inside the route's accuracy."""
 
     # The two eigensolvers' own rounding, beside the certified ||E||_F: it
-    # added at most 1.3e-16 over the 64 split states of the README's sweep.
+    # added at most 4.9e-16 over the 62 split states of the README's sweep.
     ROUNDING = 1e-15
 
     @pytest.fixture(scope="class", params=[
@@ -940,15 +1018,16 @@ class TestParitySplit:
         state, dense = centred
         a = state.amplitudes
         spectrum = decompose(state)
-        (rows, cols, _), mirrored = schmidt_module._window(a, state._squared_norm)
+        (rows, cols, _), mirrored = schmidt_module._window(a, state._squared_norm, ritz_of(state))
         assert mirrored
         m = min(rows.stop - rows.start, cols.stop - cols.start)
-        # Two half-size eigenproblems, the even one holding a middle vector.
-        assert eigvalsh_shapes == [((m + 1) // 2, (m + 1) // 2), (m // 2, m // 2)]
-        # The hull cuts each pair of opposite edges alike, at most eps in all.
+        # The sketch's 16 x 16 Ritz problem, then two half-size
+        # eigenproblems, the even one holding a middle vector.
+        assert eigvalsh_shapes[:3] == [(16, 16), ((m + 1) // 2, (m + 1) // 2), (m // 2, m // 2)]
+        # The hull cuts each pair of opposite edges alike, within the budget.
         n1, n2 = a.shape
         assert rows.start == n1 - rows.stop and cols.start == n2 - cols.stop
-        assert removed_mass(a, (rows, cols)) <= TestGramWindow.EPS
+        assert removed_mass(a, (rows, cols)) <= cut_budget(state)
         weights, cross, budget, single = split_of(state)
         assert 0.0 < cross <= budget
         assert spectrum.rank == min(n1, n2) and spectrum.discarded_weight == 0.0
@@ -961,7 +1040,7 @@ class TestParitySplit:
     def test_quadrants_hold_the_gram_bits(self, centred):
         state, _ = centred
         a = state.amplitudes
-        hull, _ = schmidt_module._window(a, state._squared_norm)
+        hull, _ = schmidt_module._window(a, state._squared_norm, ritz_of(state))
         w, bands = schmidt_module._tall(a, *hull)
         m = w.shape[1]
         gram, bottom, corner = schmidt_module._quadrants(w, bands, m)
@@ -1003,7 +1082,8 @@ class TestParitySplit:
             weights, cross, budget, single = split_of(state)
             assert (cross > budget) == refused
             # A refused split takes the hull's single Gram matrix.
-            expected = single_gram_weights(b, schmidt_module._window(b, state._squared_norm)[0])
+            window = schmidt_module._window(b, state._squared_norm, ritz_of(state))[0]
+            expected = single_gram_weights(b, window)
             got = decompose(state).weights
             if refused:
                 assert got.tobytes() == expected.tobytes()
@@ -1017,11 +1097,11 @@ class TestParitySplit:
                              ids=["corner-mean", "noise", "curved"])
     def test_other_states_keep_the_single_gram_bytes(self, make):
         state = make()
-        a, total = state.amplitudes, state._squared_norm
-        window, mirrored = schmidt_module._window(a, total)
+        a, total, ritz = state.amplitudes, state._squared_norm, ritz_of(state)
+        window, mirrored = schmidt_module._window(a, total, ritz)
         assert not mirrored
         expected = single_gram_weights(a, window)
-        assert schmidt_module._gram_weights(a, total).tobytes() == expected.tobytes()
+        assert schmidt_module._gram_weights(a, total, ritz).tobytes() == expected.tobytes()
         if make is not curved_state:  # the curved state takes the sketch route
             assert decompose(state).weights.tobytes() == expected.tobytes()
 
