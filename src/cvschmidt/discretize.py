@@ -17,6 +17,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import mmap
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +46,15 @@ _TINY = float(np.finfo(float).tiny)
 # Most cells a grid may have (n = 4096 per axis): a dense state of this size
 # holds 128 MB of float64 before any factorization workspace.
 MAX_GRID_CELLS = 2**24
+
+# The anonymous mapping of the last state's array to be freed, kept for the
+# next state of the same byte size (see `_state_buffer`): at most one, so at
+# most one grid budget (128 MB) is held.  A list, so that the pop that takes
+# it and the slice assignment that replaces it are each one atomic call.
+_spare: list[mmap.mmap] = []
+# Private, so that a forked child that reuses an inherited mapping writes
+# copies of its pages, not the pages of the parent's live state.
+_MAP_FLAGS = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -117,6 +128,11 @@ class DiscretizedState:
     amplitudes : ndarray, shape (n1, n2)
         Midpoint samples scaled by sqrt(cell area), with unit Frobenius norm
         (checked on construction); a read-only view of the array passed in.
+        `sample_state` and `read_state_file` pass an array in an anonymous
+        mapping that is recycled: once this view and every other view of
+        the array are gone, it is kept as the one spare for the next state
+        of the same size, so at most one freed array (at most 128 MB, the
+        grid budget) is held.
     raw_norm : float or None
         Frobenius norm before the exact rescale; close to 1 when the grid
         box captures nearly all probability mass.
@@ -185,6 +201,34 @@ def build_grid(params: GaussianParams, n: int, span: float = 6.0) -> GridSpec:
     )
 
 
+def _state_buffer(n1: int, n2: int) -> np.ndarray:
+    """An uninitialized (n1, n2) float array for a state; the caller writes
+    every cell before use.
+
+    The array lives in an anonymous mapping, outside malloc's heap.  Once
+    the array and every view of it are gone, the mapping becomes the one
+    spare; the next request of the same byte size takes it, so a loop of
+    same-shape states faults its pages in once, not once per state.  Any
+    other request maps fresh memory and lets the spare go.
+    """
+    nbytes = n1 * n2 * np.dtype(float).itemsize
+    try:
+        buffer = _spare.pop()
+    except IndexError:
+        buffer = None
+    if buffer is None or len(buffer) != nbytes:
+        buffer = mmap.mmap(-1, nbytes, **_MAP_FLAGS)
+    flat = np.frombuffer(buffer, dtype=float)
+    # numpy collapses a view's base only as far as `flat`, whose base is not
+    # an array, so `flat` dies with the last view of the state's bytes.
+    weakref.finalize(flat, _keep_spare, buffer).atexit = False
+    return flat.reshape(n1, n2)
+
+
+def _keep_spare(buffer: mmap.mmap) -> None:
+    _spare[:] = [buffer]
+
+
 def sample_state(f, grid: GridSpec) -> DiscretizedState:
     """Sample an amplitude function at cell midpoints into a normalized state.
 
@@ -197,11 +241,14 @@ def sample_state(f, grid: GridSpec) -> DiscretizedState:
     x2 of shape (1, n2), and its result must broadcast to (r, n2).  Wrap a
     function of scalars in `np.vectorize`.  Each block is written straight
     into the state's array and its squares are summed while it is in cache,
-    so the state is the only grid-sized array.
+    so the state is the only grid-sized array.  That array reuses the
+    mapping of the last freed state of the same size, if any (see
+    `_state_buffer`), so a loop of same-shape states does not fault in
+    fresh pages for each.
     """
     x1 = grid.midpoints1[:, None]
     x2 = grid.midpoints2[None, :]
-    values = np.empty((grid.n1, grid.n2))
+    values = _state_buffer(grid.n1, grid.n2)
 
     def fill(rows: slice) -> None:
         _evaluate_block(f, x1[rows], x2, values[rows])
@@ -520,14 +567,15 @@ def read_state_file(path) -> DiscretizedState:
     The body may be unnormalized; normalization is applied on load.  Raises
     StateFileError with 1-based line/column for malformed content and
     DomainError for an all-zero body.  The body is streamed: memory holds
-    the n1 * n2 parsed samples and one line, however long the file is.  A
+    the n1 * n2 parsed samples, in a recycled state array as in
+    `sample_state`, and one line, however long the file is.  A
     wrong row count is reported before any malformed row; a byte that is not
     UTF-8 is reported where it is read.
     """
     with open(path, "rb") as fh:
         lines = _logical_lines(fh)
         grid = _read_header(next(lines, ""))
-        samples = np.empty((grid.n1, grid.n2))
+        samples = _state_buffer(grid.n1, grid.n2)
         rows = 0  # body lines up to the last non-blank one
         seen = 0  # body lines read
         error = None  # first malformed row among rows 1..min(rows, n1)
