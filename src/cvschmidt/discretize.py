@@ -579,22 +579,30 @@ def read_state_file(path) -> DiscretizedState:
         rows = 0  # body lines up to the last non-blank one
         seen = 0  # body lines read
         error = None  # first malformed row among rows 1..min(rows, n1)
-        for text in lines:
-            seen += 1
-            if not text.strip():
-                continue
-            if error is None and seen > rows + 1:
-                # A blank line before this one is a row with one empty field.
-                error = StateFileError(f"expected {grid.n2} values per row, found 1",
+        try:
+            for text in lines:
+                seen += 1
+                if not text.strip():
+                    continue
+                if error is None and seen > rows + 1:
+                    # A blank line before this one is a row with one empty field.
+                    error = StateFileError(f"expected {grid.n2} values per row, found 1",
+                                           line=rows + 2)
+                rows = seen
+                if error is None and rows <= grid.n1:
+                    try:
+                        samples[rows - 1] = _parse_row(text, grid.n2, rows + 1)
+                    except StateFileError as exc:
+                        error = exc
+            if rows != grid.n1:
+                error = StateFileError(f"expected {grid.n1} amplitude rows, found {rows}",
                                        line=rows + 2)
-            rows = seen
-            if error is None and rows <= grid.n1:
-                try:
-                    samples[rows - 1] = _parse_row(text, grid.n2, rows + 1)
-                except StateFileError as exc:
-                    error = exc
-    if rows != grid.n1:
-        raise StateFileError(f"expected {grid.n1} amplitude rows, found {rows}", line=rows + 2)
-    if error is not None:
-        raise error
+            if error is not None:
+                raise error
+        except StateFileError:
+            # The error's traceback holds this frame in a reference cycle;
+            # without `samples` in it, the state's mapping goes back to the
+            # spare now rather than when the garbage collector runs.
+            del samples
+            raise
     return _normalized_state(grid, samples, "state file is zero everywhere; cannot normalize")

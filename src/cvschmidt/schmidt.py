@@ -13,112 +13,48 @@ how fast the spectrum decays:
   (Halko, Martinsson & Tropp, SIAM Rev. 53:217, 2011; the fixed-precision
   blocked form of Yu, Gu & Li, SIAM J. Matrix Anal. Appl. 39:1339, 2018).
   It grows an orthonormal basis Q of axis-1 vectors, 64 columns of a fixed
-  pseudo-random sketch at a time, and stops once the residual
-  ||A - Q Q^T A||_F^2, computed directly one row block at a time (so no
-  temporary is as large as A), is at most 1e-14.  A block Y of
-  m rows and n = 64 columns is orthonormalized by CholeskyQR: a pass
-  replaces Y by Y L^-T with L L^T = Y^T Y, two BLAS-3 products around a
-  64 x 64 Cholesky factor.  A sketch block has numerical rank ~35 of 64
-  on a typical state, so Y^T Y is singular to rounding; the first two
-  passes add 11 (m n + n (n + 1)) eps tr(Y^T Y) to its diagonal, which
-  keeps it positive definite, and two plain passes follow (shifted
-  CholeskyQR; Fukaya, Kannan, Nakatsukasa, Yamamoto & Yanagisawa, SIAM J.
-  Sci. Comput. 42:A477, 2020).  The basis is then orthonormal to ~5e-15,
-  and at n = 1000 on 2 CPUs the four passes take 1-3 ms.  A block that is
-  exactly rank-deficient, such as one of a rank-8 state, still makes a
-  Cholesky factorization fail; that block alone takes Householder QR
-  (`np.linalg.qr`) beside Q, whose columns past Q's are orthogonal to it.
-  Each block after the first is projected twice against Q,
-  orthonormalized, then projected once more and given one more plain
-  pass: shifted CholeskyQR of a rank-deficient block fills its missing
-  directions with columns that need not be orthogonal to Q.  The first
-  block is formed in two such steps, its first 16 columns and then the
-  other 48 (see below).  Until the residual is computed, the leftover is
-  tracked as the state's own row-blocked squared norm minus the squares
-  of each block of Q^T A.  The state has unit norm, so that
-  residual is exactly the Schmidt weight the truncation drops; it is
-  reported as `discarded_weight`.  The kept weights are the eigenvalues
-  of the r x r Gram matrix B B^T of the small r x n2 block B = Q^T A, read
-  as on the Gram route below.  The modes are not computed until one is
-  first read; that read runs the thin SVD of B, lifts its axis-1 vectors
-  by Q and keeps the factors.  Their singular values, which `reconstruct`
-  uses, differ from the square roots of the weights by rounding: over the
-  106 sketched states of a 264-state sweep (n 256 to 1500, square and
-  rectangular, rho -0.9999 to 0.9999, spans 8 and 10) the weights and the
-  squared singular values differed by at most 1.8e-15, and the weights
-  and the dense SVD's by at most 2.0e-15.  By
-  interlacing, in exact arithmetic every kept weight lies within
-  `discarded_weight` below the dense one, far inside every tolerance
-  downstream.
+  pseudo-random sketch at a time (see `_sketch`), each block
+  orthonormalized by shifted CholeskyQR (see `_orthonormal`), and stops
+  once the residual ||A - Q Q^T A||_F^2, computed one row block at a time
+  so that no temporary is as large as A, is at most 1e-14.  The state has
+  unit norm, so that residual is exactly the Schmidt weight the truncation
+  drops; it is reported as `discarded_weight`, and by interlacing every
+  kept weight lies within it below the dense one.  The kept weights are
+  the eigenvalues of the r x r Gram matrix B B^T of B = Q^T A.  The modes
+  are computed when one is first read, by the thin SVD of B lifted by Q;
+  their singular values differ from the square roots of the weights by
+  rounding.
 - When the leftover weight decays so slowly that more than
-  min(n1, n2) // 4 columns would be needed, the sketch gives up and the
-  weights are Gram eigenvalues, in non-increasing order with negative
-  rounding dust set to 0.  After each step of the sketch the leftover's
-  decay per column since the current block began predicts the column
-  count.  Most such states are seen after the first block's first 16
-  columns, before its other 48 are formed; that prediction may pass the
-  cap by one block, since 16 columns capture less than the top 16 modes.
-  The certificate is checked only at whole blocks, so a state that 16
-  columns already certify still keeps 64 weights.  Forming a Gram matrix
-  squares the condition number, so each weight is accurate only to about
-  min(n1, n2) * eps * lambda_0 absolute (Golub & Van Loan, Matrix
-  Computations, section 8.6).  The sketch that gives up hands on a floor
-  for lambda_0: the largest eigenvalue of B B^T over the columns it
-  formed, a Ritz value at most lambda_0 (0.70 to 1.0 of it over the sweep
-  below, mostly from the first 16 columns alone).  The Gram matrix is that
-  of a window W of the state: one row-blocked pass sums the squares of
-  each row and column, and leading and trailing rows and columns are cut,
-  the smallest mass first, while the cut masses total at most
-  max(eps * total, min(n1, n2) * eps * ritz / 2), for `total` the state's
-  squared norm and `ritz` that Ritz value.  W is a submatrix, so by Cauchy
-  interlacing each weight drops by at most the cut mass, and the drops sum
-  to it: at most half the accuracy above, and eps * total is inside it
-  too, since lambda_0 >= total / min(n1, n2).  The eigenvalues of the
-  smaller of W^T W and W W^T are padded with exact zeros to min(n1, n2),
-  so the weights past the window are 0.  At n = 1000, span 10 and rho
-  0.998 to 0.9995 the window is ~780-790 wide, against ~830 for a cut of
-  eps * total.  That Gram matrix is summed over bands: the same row-blocked
-  pass gives each block's span of columns with a nonzero square, and each
-  block adds only the product over its span.  Leaving out the zero squares
-  leaves out products with amplitudes below ~1.5e-162, which moves each
-  Gram entry by at most max(n1, n2) * 1.5e-162.  A highly correlated
-  state's blocks span 84-325 of the window's columns; a window whose
-  blocks all span every column is one product.  Over the 81 Gram-route
-  states of a 152-state sweep (n 200 to 1000 at spans 8 and 10 and rho
-  -0.9999 to 0.9999, 256 x 300, 300 x 256, 400 x 600 and 1000 x 700
-  grids, off-centre boxes) the weights lay within 1.4e-15 of the dense
-  SVD's, the most at n = 400, rho 0.97, span 8, where the Ritz value is
-  lambda_0 and the cut 1.5e-14, so weights below ~1e-15 are rounding
-  noise.  As on the sketch route, the modes are not computed until one is
-  first read; here that read runs the dense SVD of the whole state once
-  and keeps its factors, whose singular values differ from the square
-  roots of the weights by rounding.  Nothing is left out of the modes or
-  of `reconstruct`, so `discarded_weight` is 0.0.  Past min(n1, n2) // 4
-  sketch columns the Gram eigenvalues are the cheaper route.
+  min(n1, n2) // 4 columns would be needed, the sketch gives up, and the
+  weights are Gram eigenvalues, non-increasing with negative rounding dust
+  set to 0: past that many columns they are the cheaper route.  Forming a
+  Gram matrix squares the condition number, so each weight is accurate
+  only to about min(n1, n2) * eps * lambda_0 absolute (Golub & Van Loan,
+  Matrix Computations, section 8.6).  A wide state is transposed first, so
+  the Gram matrix is always W^T W, for W the edge-trimmed window of the
+  state's tall side (see `_window`).  Its rows and columns are cut while
+  their mass is at most max(eps * total, min(n1, n2) * eps * ritz / 2),
+  for the state's squared norm `total` and the sketch's Ritz value
+  ritz <= lambda_0: inside that accuracy, and by Cauchy interlacing a
+  bound on each weight's drop.  W^T W is summed over the bands that hold
+  W's nonzero squares, and its eigenvalues are padded with exact zeros to
+  min(n1, n2); when W is wider than tall, the eigenvalues past its row
+  count are rounding dust >= 0.  The modes are computed when one is first
+  read, by the dense SVD of the whole state, so `discarded_weight` is 0.0.
 - The Gram route splits by parity.  A state that `build_grid` and
   `sample_state` make is centrosymmetric up to rounding, A = J A J with J
   the reversal of each axis, because its box is centred on the means (the
   paper's Schmidt mode k has parity (-1)^k).  Its Gram matrix G then
-  commutes with J, and the orthogonal change to the even and odd vectors
-  (e_k +- e_(m-1-k)) / sqrt(2) makes it block diagonal, with two blocks
-  of half the size (Cantoni & Butler, Linear Algebra Appl. 13:275, 1976).
-  When the row and column masses that the window's pass sums match their
-  mirror images, the window is widened to its centrosymmetric hull, whose
-  cut mass is at most that of the trimmed window; three quadrants of its
-  G are summed band by band with the bits of the whole G, rotated in
-  place into the even block, the odd block and the block E between them,
-  and the weights are the eigenvalues of the two blocks, merged.  By
-  Weyl's inequality dropping E moves each weight by at most
-  ||E||_2 <= ||E||_F, and the split is kept only when
-  ||E||_F <= min(m1, m2) * eps * lambda_0, inside the accuracy above.  A
-  split that fails the test (at n = 1000 from rho ~0.9999, where rounding
-  makes ||E||_F about 7e-15) takes the hull's whole Gram matrix, and any
-  other state that of its trimmed window.  Over the sweep above, 69 of
-  the Gram-route states mirrored and 62 split, with ||E||_F of 3.5e-18 to
-  4.2e-15; their weights lay within 5.6e-16 of the whole Gram matrix's and
-  within 1.4e-15 of the dense SVD's.  At n = 1000, span 10, the two
-  eigenproblems are of ~395, and the three quadrants hold ~0.47 times the
-  state.
+  commutes with J, and the change to the even and odd vectors
+  (e_k +- e_(m-1-k)) / sqrt(2) makes it block diagonal, with two blocks of
+  half the size (Cantoni & Butler, Linear Algebra Appl. 13:275, 1976).
+  When the window's row and column masses match their mirror images, the
+  window is widened to its centrosymmetric hull and the weights are the
+  eigenvalues of the two blocks of its G (see `_parity_split`).  By Weyl's
+  inequality dropping the block E between them moves each weight by at
+  most ||E||_F, so the split is kept only when
+  ||E||_F <= m * eps * lambda_0 for an m x m G, inside the route's
+  accuracy; otherwise the whole G is taken.
 
 Sign fixing: each weight's mode pair is flipped jointly so that the
 axis-1 column's first entry whose magnitude is at least half the column's
@@ -276,16 +212,19 @@ def _gram_weights(a: np.ndarray, total: float, ritz: float) -> np.ndarray:
     of its edge-trimmed window and padded with zeros to min(n1, n2).
 
     `total` is the squared norm of `a` that its state checked, and `ritz` a
-    lower bound on its largest weight, which sets the window's cut.  The
-    Gram matrix is the smaller of W^T W and W W^T, summed band by band (see
+    lower bound on its largest weight, which sets the window's cut.  A wide
+    `a` is transposed first, so the Gram matrix is W^T W over the columns
+    of the window of the state's tall side, summed band by band (see
     `_window`).  When the state may be centrosymmetric, it is split into
     its even and odd blocks (see `_parity_split`), and the split is kept
-    when the block it drops has ||E||_F <= min(m1, m2) * eps * lambda_0;
-    otherwise, and for every other state, the weights are the eigenvalues
-    of the whole Gram matrix.
+    when the block it drops has ||E||_F <= m * eps * lambda_0; otherwise,
+    and for every other state, the weights are the eigenvalues of the whole
+    Gram matrix.
     """
-    window, mirrored = _window(a, total, ritz)
-    w, bands = _tall(a, *window)
+    if a.shape[1] > a.shape[0]:
+        a = a.T
+    (rows, cols, bands), mirrored = _window(a, total, ritz)
+    w = a[rows, cols]
     m = w.shape[1]
     weights = None
     if mirrored:
@@ -297,16 +236,6 @@ def _gram_weights(a: np.ndarray, total: float, ritz: float) -> np.ndarray:
     padded = np.zeros(min(a.shape))
     padded[:weights.size] = weights
     return padded
-
-
-def _tall(a: np.ndarray, rows: slice, cols: slice, bands):
-    """The window a[rows, cols], transposed if it is wide, and its bands:
-    W^T W is then the smaller Gram matrix."""
-    window = a[rows, cols]
-    m1, m2 = window.shape
-    if m2 <= m1:
-        return window, bands
-    return window.T, _column_bands(bands, m2)
 
 
 def _quadrants(w: np.ndarray, bands, h: int):
@@ -376,30 +305,13 @@ def _parity_split(top: np.ndarray, bottom: np.ndarray, corner: np.ndarray):
     return weights, 0.5 * math.sqrt(float(np.sum(cross)))
 
 
-def _column_bands(bands, width: int):
-    """The column slices that partition a window of `width` columns, each
-    with the rows of the row `bands` that span it, for W W^T = sum W_c W_c^T.
-
-    Between consecutive span ends every row band either spans all of a
-    column slice or none of it; the slice's rows run from the first band
-    that spans it to the last.
-    """
-    ends = sorted({0, width}.union(*((c.start, c.stop) for _, c in bands)))
-    column_bands = []
-    for lo, hi in zip(ends, ends[1:]):
-        spanning = [rows for rows, cols in bands if cols.start <= lo and hi <= cols.stop]
-        if spanning:
-            _add_band(column_bands, slice(lo, hi), slice(spanning[0].start, spanning[-1].stop))
-    return column_bands
-
-
-def _add_band(bands, along: slice, across: slice) -> None:
-    """Append the band (along, across), or extend the last band over `along`
-    when it has the same `across` and ends where `along` starts."""
-    if bands and bands[-1][1] == across and bands[-1][0].stop == along.start:
-        bands[-1] = (slice(bands[-1][0].start, along.stop), across)
+def _add_band(bands, rows: slice, cols: slice) -> None:
+    """Append the band (rows, cols), or extend the last band over `rows`
+    when it has the same `cols` and ends where `rows` starts."""
+    if bands and bands[-1][1] == cols and bands[-1][0].stop == rows.start:
+        bands[-1] = (slice(bands[-1][0].start, rows.stop), cols)
     else:
-        bands.append((along, across))
+        bands.append((rows, cols))
 
 
 def _window(a: np.ndarray, total: float, ritz: float):
@@ -423,11 +335,11 @@ def _window(a: np.ndarray, total: float, ritz: float):
     rows of one row block, or of a run of consecutive blocks with the same
     span, and the span of columns where those blocks have a nonzero
     square.  Every nonzero square of the window lies in a band, so summing
-    the bands' own W^T W (or, through `_column_bands`, W W^T) gives that of
-    the window, except for products with an amplitude whose square
-    underflows to 0 (below ~1.5e-162 in magnitude): each Gram entry moves
-    by at most max(n1, n2) * 1.5e-162.  A window whose every block spans
-    all of its columns is one band, and its Gram matrix one product.
+    the bands' own W^T W gives that of the window, except for products
+    with an amplitude whose square underflows to 0 (below ~1.5e-162 in
+    magnitude): each Gram entry moves by at most max(n1, n2) * 1.5e-162.
+    A window whose every block spans all of its columns is one band, and
+    its Gram matrix one product.
 
     The masses mirror when the row masses and the column masses each match
     their mirror images to within min(n1, n2) * eps * total, summed over
@@ -521,13 +433,11 @@ def _sketch(a: np.ndarray, total: float):
 
     The first block is taken in two steps: its first _PROBE columns, then
     the other 48, projected against them like a later block.  After each
-    step the leftover's decay per column since the
-    current block began predicts the column count.  After the probe's
-    columns the prediction may pass the cap by one block: they capture
-    less than the top _PROBE modes, so without that margin states at
-    n = 256 and 300 with rho near 0.95, which one block certifies, would go
-    to the Gram route.  The certificate is checked only at whole blocks,
-    so the kept rank is a multiple of _BLOCK.
+    step the leftover's decay per column since the current block began
+    predicts the column count.  After the probe's columns the prediction
+    may pass the cap by one block, since they capture less than the top
+    _PROBE modes.  The certificate is checked only at whole blocks, so the
+    kept rank is a multiple of _BLOCK.
     """
     n1, n2 = a.shape
     cap = min(n1, n2) // _CAP_DIVISOR

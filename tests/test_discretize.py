@@ -938,14 +938,32 @@ class TestStateBuffer:
         good.write_text(header + "\n" + "1,2,3\n" * 3 + "4,5,6\n")
         discretize._spare.clear()
         fresh = read_state_file(good).amplitudes.copy()
-        with pytest.raises(StateFileError, match="invalid number"):
-            read_state_file(bad)
-        # The raised error's traceback holds the reader's frame in a cycle.
-        gc.collect()
-        assert len(discretize._spare) == 1
+        # The raised error's traceback holds the reader's frame in a cycle;
+        # the mapping must be back without the collector's help.
+        gc.disable()
+        try:
+            with pytest.raises(StateFileError, match="invalid number"):
+                read_state_file(bad)
+            assert len(discretize._spare) == 1
+        finally:
+            gc.enable()
         state = read_state_file(good)
         assert discretize._spare == []
         assert np.array_equal(state.amplitudes, fresh)
+
+    def test_a_bad_byte_after_a_malformed_row_gives_the_mapping_back(self, tmp_path):
+        header = json.dumps({"n1": 4, "n2": 3, "lo1": 0.0, "hi1": 1.0,
+                             "lo2": 0.0, "hi2": 1.0})
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes((header + "\n9,x,9\n9,9,9\n").encode() + b"\xff,9,9\n9,9,9\n")
+        discretize._spare.clear()
+        gc.disable()
+        try:
+            with pytest.raises(StateFileError, match="not UTF-8"):
+                read_state_file(bad)
+            assert len(discretize._spare) == 1
+        finally:
+            gc.enable()
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_a_forked_child_cannot_write_the_parents_state(self):

@@ -806,27 +806,41 @@ class TestGramWindow:
         assert seen["gram"].tobytes() == single_gram(w, bands).tobytes()
         assert float(np.max(np.abs(seen["gram"] - w.T @ w))) <= 1e-15
 
-    def test_wide_window_sums_column_bands(self):
-        # A 600 x 700 box, moved off the means like the `off_centre` one: its
-        # window is wide, so W W^T is summed over column slices whose rows
-        # cover their squares.
-        params = GaussianParams(m1=1.0, m2=-1.0, sigma1=2.0, sigma2=1.0, rho=0.9995)
-        grid = GridSpec(n1=600, n2=700, lo1=-17.0, hi1=23.0, lo2=-10.0, hi2=10.0)
-        state = sample_state(lambda x1, x2: wavefunction(params, x1, x2), grid)
-        a, total, ritz = state.amplitudes, state._squared_norm, ritz_of(state)
-        (rows, cols, bands), mirrored = schmidt_module._window(a, total, ritz)
-        assert not mirrored
+    @pytest.mark.parametrize("shape, centred", [
+        ((600, 700), False), ((700, 600), False), ((400, 400), True),
+    ], ids=["600x700-off-centre", "700x600-off-centre", "400x400-centred"])
+    def test_gram_squares_the_tall_side(self, shape, centred, eigvalsh_shapes):
+        # Two boxes moved off the means like the `off_centre` one, and a
+        # centred square state whose hull is 2 columns wider than tall: the
+        # Gram matrix is W^T W over the row bands of the window of the state
+        # transposed to its tall side, whichever side of that window is longer.
+        if centred:
+            state = centred_state(shape, 0.9995)
+        else:
+            params = GaussianParams(m1=1.0, m2=-1.0, sigma1=2.0, sigma2=1.0, rho=0.9995)
+            grid = GridSpec(n1=shape[0], n2=shape[1], lo1=-17.0, hi1=23.0, lo2=-10.0, hi2=10.0)
+            state = sample_state(lambda x1, x2: wavefunction(params, x1, x2), grid)
+        a = oriented(state.amplitudes)
+        assert a.shape == (max(shape), min(shape))
+        (rows, cols, bands), mirrored = schmidt_module._window(a, state._squared_norm,
+                                                               ritz_of(state))
+        assert mirrored == centred
         w = a[rows, cols]
-        assert w.shape[1] > w.shape[0]
-        column_bands = schmidt_module._column_bands(bands, w.shape[1])
+        m = w.shape[1]
+        if centred:
+            assert m > w.shape[0]
         covered = np.zeros(w.shape, dtype=bool)
-        for band_cols, band_rows in column_bands:
-            assert not np.any(covered[:, band_cols])
+        for band_rows, band_cols in bands:
             covered[band_rows, band_cols] = True
         assert not np.any(w[~covered] ** 2 > 0.0)
-        assert np.count_nonzero(covered) < 0.5 * w.size
-        weights = schmidt_module._gram_weights(a, total, ritz)
-        dense = np.linalg.svd(a, compute_uv=False) ** 2
+        del eigvalsh_shapes[:]
+        weights = decompose(state).weights
+        # The sketch's 16 x 16 Ritz problem, then the Gram matrix of size m,
+        # or its even and odd blocks.
+        halves = [((m + 1) // 2,) * 2, (m // 2,) * 2] if centred else [(m, m)]
+        assert eigvalsh_shapes == [(16, 16)] + halves
+        assert weights.size == min(shape)
+        dense = np.linalg.svd(state.amplitudes, compute_uv=False) ** 2
         assert float(np.max(np.abs(weights - dense))) <= 1e-14
 
     def test_gaussian_window_drops_at_most_its_budget(self, gaussian):
@@ -917,6 +931,12 @@ class TestGramWindow:
         assert peak <= 0.65 * state.amplitudes.nbytes
 
 
+def oriented(a):
+    """`a`, transposed if it is wide: the matrix whose window the Gram route
+    squares, W^T W."""
+    return a.T if a.shape[1] > a.shape[0] else a
+
+
 def single_gram(w, bands):
     """W^T W, each band's product added to its square of columns in turn."""
     gram = np.zeros((w.shape[1], w.shape[1]))
@@ -927,15 +947,11 @@ def single_gram(w, bands):
 
 
 def single_gram_weights(a, window):
-    """The window's Gram eigenvalues, summed band by band, as the Gram route
-    computed them before the parity split, padded with zeros."""
+    """The Gram eigenvalues of the window of the oriented `a`, summed band
+    by band, as the Gram route computed them before the parity split,
+    padded with zeros."""
     rows, cols, bands = window
-    w = a[rows, cols]
-    m1, m2 = w.shape
-    if m2 <= m1:
-        gram = single_gram(w, bands)
-    else:
-        gram = single_gram(w.T, schmidt_module._column_bands(bands, m2))
+    gram = single_gram(a[rows, cols], bands)
     weights = np.zeros(min(a.shape))
     weights[:gram.shape[0]] = np.maximum(np.linalg.eigvalsh(gram)[::-1], 0.0)
     return weights
@@ -964,13 +980,13 @@ def antisymmetric_bump(shape):
 
 
 def split_of(state):
-    """The parity split of the state's centrosymmetric hull: the weights,
-    the reported ||E||_F, the budget it is held to and the hull's Gram
-    eigenvalues without the split."""
-    a = state.amplitudes
-    hull, mirrored = schmidt_module._window(a, state._squared_norm, ritz_of(state))
+    """The parity split of the centrosymmetric hull of the oriented state:
+    the weights, the reported ||E||_F, the budget it is held to and the
+    hull's Gram eigenvalues without the split."""
+    a = oriented(state.amplitudes)
+    (rows, cols, bands), mirrored = schmidt_module._window(a, state._squared_norm, ritz_of(state))
     assert mirrored
-    w, bands = schmidt_module._tall(a, *hull)
+    w = a[rows, cols]
     m = w.shape[1]
     weights, cross = schmidt_module._parity_split(*schmidt_module._quadrants(w, bands, (m + 1) // 2))
     single = schmidt_module._eigenvalues(schmidt_module._quadrants(w, bands, m)[0])
@@ -1016,11 +1032,11 @@ class TestParitySplit:
 
     def test_split_weights_lie_within_the_certified_bound(self, centred, eigvalsh_shapes):
         state, dense = centred
-        a = state.amplitudes
+        a = oriented(state.amplitudes)
         spectrum = decompose(state)
         (rows, cols, _), mirrored = schmidt_module._window(a, state._squared_norm, ritz_of(state))
         assert mirrored
-        m = min(rows.stop - rows.start, cols.stop - cols.start)
+        m = cols.stop - cols.start
         # The sketch's 16 x 16 Ritz problem, then two half-size
         # eigenproblems, the even one holding a middle vector.
         assert eigvalsh_shapes[:3] == [(16, 16), ((m + 1) // 2, (m + 1) // 2), (m // 2, m // 2)]
@@ -1039,9 +1055,9 @@ class TestParitySplit:
 
     def test_quadrants_hold_the_gram_bits(self, centred):
         state, _ = centred
-        a = state.amplitudes
-        hull, _ = schmidt_module._window(a, state._squared_norm, ritz_of(state))
-        w, bands = schmidt_module._tall(a, *hull)
+        a = oriented(state.amplitudes)
+        (rows, cols, bands), _ = schmidt_module._window(a, state._squared_norm, ritz_of(state))
+        w = a[rows, cols]
         m = w.shape[1]
         gram, bottom, corner = schmidt_module._quadrants(w, bands, m)
         assert bottom.shape == (0, 0) and corner.shape == (m, 0)
@@ -1078,7 +1094,7 @@ class TestParitySplit:
         for scale, refused in ((1e-16, False), (1e-14, True)):
             perturbed = a + scale * antisymmetric_bump(shape)
             state = unit_square_state(perturbed / np.linalg.norm(perturbed))
-            b = state.amplitudes
+            b = oriented(state.amplitudes)
             weights, cross, budget, single = split_of(state)
             assert (cross > budget) == refused
             # A refused split takes the hull's single Gram matrix.
@@ -1097,11 +1113,12 @@ class TestParitySplit:
                              ids=["corner-mean", "noise", "curved"])
     def test_other_states_keep_the_single_gram_bytes(self, make):
         state = make()
-        a, total, ritz = state.amplitudes, state._squared_norm, ritz_of(state)
+        a, total, ritz = oriented(state.amplitudes), state._squared_norm, ritz_of(state)
         window, mirrored = schmidt_module._window(a, total, ritz)
         assert not mirrored
         expected = single_gram_weights(a, window)
-        assert schmidt_module._gram_weights(a, total, ritz).tobytes() == expected.tobytes()
+        got = schmidt_module._gram_weights(state.amplitudes, total, ritz)
+        assert got.tobytes() == expected.tobytes()
         if make is not curved_state:  # the curved state takes the sketch route
             assert decompose(state).weights.tobytes() == expected.tobytes()
 
