@@ -288,9 +288,9 @@ def _normalized_state(grid: GridSpec, values: np.ndarray, zero_message: str,
     fill(rows) (see `_sum_of_squares`).  Non-finite values are looked for
     only when the norm is not a positive finite number.  The norms are
     row-blocked sums with no BLAS call, so the state has the same bits at
-    any BLAS thread count.  The walk that rescales the values also sums
-    their new squares, which the state checks instead of walking them
-    again (see `_rescaled`).
+    any BLAS thread count.  The walk that rescales the values, one multiply
+    by sqrt(cell area) / raw_norm, also sums their new squares, which the
+    state checks instead of walking them again (see `_rescaled`).
     """
     scale = math.sqrt(grid.cell_area)
     squared = _sum_of_squares(values, scale, fill)
@@ -298,7 +298,7 @@ def _normalized_state(grid: GridSpec, values: np.ndarray, zero_message: str,
     # that such squares could make up takes the peak-scaled path below.
     if values.size * _TINY < squared < math.inf:
         raw_norm = math.sqrt(squared)
-        total = _rescaled(values, scale, raw_norm)
+        total = _rescaled(values, scale / raw_norm)
         return DiscretizedState._summed(grid, values, raw_norm, total)
     # NaN propagates through max and min, so a non-finite value shows here.
     high, low = float(np.max(values)), float(np.min(values))
@@ -313,23 +313,21 @@ def _normalized_state(grid: GridSpec, values: np.ndarray, zero_message: str,
     with np.errstate(under="ignore"):
         values /= peak
     unit_norm = math.sqrt(_sum_of_squares(values))
-    total = _rescaled(values, None, unit_norm)
+    total = _rescaled(values, 1.0 / unit_norm)
     raw_norm = peak * scale * unit_norm
     return DiscretizedState._summed(grid, values, raw_norm, total)
 
 
-def _rescaled(values: np.ndarray, scale: float | None, norm: float) -> float:
-    """Multiply `values` by `scale` (when given) and divide them by `norm`
-    in place, one row block at a time, and return the sum of the squares of
-    the result, taken while each block is in cache with the blocks and ops
-    of `_sum_of_squares`, so with its bits."""
+def _rescaled(values: np.ndarray, factor: float) -> float:
+    """Multiply `values` by `factor` in place, one row block at a time, and
+    return the sum of the squares of the result, taken while each block is
+    in cache with the blocks and ops of `_sum_of_squares`, so with its
+    bits."""
     sums = []
     with np.errstate(under="ignore"):
         for rows, squares in _row_blocks(values):
             block = values[rows]
-            if scale is not None:
-                block *= scale
-            block /= norm
+            block *= factor
             np.multiply(block, block, out=squares)
             sums.append(np.sum(squares))
     return float(np.sum(sums))
@@ -446,10 +444,8 @@ def shannon_mi_numeric(p_joint, log_base=math.e) -> float:
     block-sized buffer and the marginals): numpy's pairwise sum inside each
     block and again over the block sums.  The result is a difference of
     entropies of up to ~10 nats, so its rounding error is about eps times
-    those: over 192 Gaussian grids (n 256 to 1500, rho -0.95 to 0.9995)
-    it was within 3.0e-15 of the ratio form sum p log(p / (p1 p2)) summed
-    the same way.  It is deterministic for a fixed numpy build.  Tiny
-    negative float residue on product joints is clamped to 0.
+    those.  It is deterministic for a fixed numpy build.  Tiny negative
+    float residue on product joints is clamped to 0.
     """
     return _mutual_information(p_joint, log_base)
 

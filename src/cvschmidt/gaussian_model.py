@@ -102,7 +102,8 @@ def density(params: GaussianParams, x1, x2):
 
 
 def wavefunction(params: GaussianParams, x1, x2):
-    """Real nonnegative amplitude sqrt(density)."""
+    """Real nonnegative amplitude sqrt(density), evaluated as one exp of half
+    the density's exponent (see `_density_array`)."""
     out = _density_array(params, x1, x2, root=True)
     return out[()] if out.ndim == 0 else out
 
@@ -112,108 +113,124 @@ def _density_array(params: GaussianParams, x1, x2, root: bool = False) -> np.nda
     """The density, or with `root` its square root, as an array of the
     broadcast shape.
 
-    Only the output is full-size: the exponent is built in it in place, in
-    the order exp(-(t1^2 - 2 rho t1 t2 + t2^2) / (2 (1 - rho^2))) / norm
-    evaluates, with -z / c computed as z / -c, which IEEE arithmetic rounds
-    identically.
+    For t = (x - m) / sigma on each axis, the amplitude is one exp,
 
-    A call whose exponents all lie at or above -708 takes a plain exp; any
-    other call takes it only where the exponent is at least -746 and clamps
-    the rest to 0.0, which is what exp returns for them, so the bits are
-    those of one plain exp.  exp costs ~1 ns per normal result but ~20 ns
-    per result that underflows to 0.0, so on a highly correlated grid the
-    masked exp is the faster one; `sample_state` calls once per row block,
-    so the choice is made per block.
+        sqrt(p) = exp(e),   e = row(t1) - d^2,   d = t2 s - (rho s) t1,
+        row(t1) = -t1^2 / 4 - log(norm) / 2,   s = 1 / (2 sqrt(1 - rho^2)),
+
+    with log(norm) = log(2 pi) + log(sigma1) + log(sigma2)
+    + log(1 - rho^2) / 2 summed from its factors, so that it stays finite
+    where norm itself would leave the float range.  The density is exp(2 e),
+    the doubling being exact.  Per cell that is a subtract, a square and a
+    subtract (and the doubling) in place in the output, then one exp, with
+    no divide and no sqrt; row(t1), t2 s and (rho s) t1 are computed once
+    per input element.  Nothing cancels: d^2 and -row(t1) are sums of
+    parts of one sign.  Rounding moves e by at most
+    eps (t1^2 / 8 + |row| + 5.5 d^2 + 1.5 K T |d|), for T the largest |t|
+    and K = 2 s, and the rounding of t adds eps (T^2 / 2 + 2 K T |d|): the
+    relative error grows like eps K T |d|, not like the eps K^2 T^2 of the
+    expanded form t1^2 - 2 rho t1 t2 + t2^2.
+
+    The thresholds act on the density's exponent 2 e, and the root holds e
+    to their halves.  An amplitude whose 2 e is below -746, where exp of the
+    density has underflowed to 0.0 (below about -745.13), is 0.0, so the
+    root has the density's support.  A call whose 2 e all lie at or above
+    -708, where exp stays in the normal range, takes a plain exp; any other
+    call takes it only where 2 e is at least -746 and clamps the rest to
+    0.0, so the density keeps the bits of one plain exp.  exp costs ~1 ns
+    per normal result but ~20 ns per result that underflows, so on a highly
+    correlated grid the masked exp is the faster one; `sample_state` calls
+    once per row block, so the choice is made per block.
 
     On an outer grid, x1 of shape (r, 1) and a non-decreasing x2 of shape
     (1, n2) as `sample_state` passes them, the ops run only on a band of
-    columns and the cells outside it are set to 0.0.  The band (see
-    `_band`) holds every column where, for some row,
-    (t2 - rho t1)^2 <= (1 - rho^2) (1520 - t1^2), that is where the exact
-    exponent reaches -760.  It is taken only when 16 eps T^2 <= 1 - rho^2
-    for T the largest |t|, so that rounding moves no exponent by the 14
-    between -760 and -746: every cell left out computes below -746, where
-    exp and the clamp give 0.0, and each cell has the bits of the whole
-    computation.  At n = 1000, span 10 and rho 0.998 to 0.9995, a 65-row
-    block's band is 8-31% of its columns.  Every other call, and an outer
-    grid whose band would hold every column, computes every cell.
+    columns and the cells outside it are set to 0.0: the columns where, for
+    some row, the exact 2 e reaches -760 (see `_band`, whose margin holds
+    every cell left out below -746 as computed, so each cell has the bits
+    of the whole computation).  Every other call, an outer grid whose band
+    would hold every column, and one whose margin is not certified,
+    computes every cell.
 
-    Overflow and invalid operations raise no warning: an overflowing
-    exponent gives exp(-inf) = 0.0, the density's underflowed value, and
-    the inf or NaN cells of parameters at the float limits are returned as
-    they are (`sample_state` rejects them).
+    Overflow and invalid operations raise no warning: an exponent that
+    overflows to -inf gives exp(-inf) = 0.0, and the inf or NaN cells of
+    parameters at the float limits are returned as they are
+    (`sample_state` rejects them).
     """
     t1 = (np.asarray(x1, dtype=float) - params.m1) / params.sigma1
     t2 = (np.asarray(x2, dtype=float) - params.m2) / params.sigma2
     one_minus_r2 = (1.0 - params.rho) * (1.0 + params.rho)
-    norm = 2.0 * math.pi * params.sigma1 * params.sigma2 * math.sqrt(one_minus_r2)
+    s = 0.5 / math.sqrt(one_minus_r2)
+    half_log_norm = 0.5 * (math.log(2.0 * math.pi) + math.log(params.sigma1)
+                           + math.log(params.sigma2) + 0.5 * math.log(one_minus_r2))
     out = np.empty(np.broadcast_shapes(t1.shape, t2.shape))
-    # A norm that underflows to 0 turns the zero cells into 0 / 0 = NaN,
-    # which the band, writing 0.0 for them, would not give.
-    band = _band(params.rho, t1, t2, one_minus_r2) if norm > 0.0 else None
+    band = _band(params.rho, t1, t2, one_minus_r2, 4.0 * (380.0 - half_log_norm))
     cells = out
     if band is not None:
         out[:, :band.start] = 0.0
         out[:, band.stop:] = 0.0
         cells, t2 = out[:, band], t2[:, band]
-    np.multiply(2.0 * params.rho * t1, t2, out=cells)
-    np.subtract(t1 * t1, cells, out=cells)
-    np.add(cells, t2 * t2, out=cells)
-    np.divide(cells, -(2.0 * one_minus_r2), out=cells)
-    if cells.min(initial=0.0) >= -708.0:
+    np.subtract(t2 * s, t1 * (params.rho * s), out=cells)
+    np.multiply(cells, cells, out=cells)
+    np.subtract(-0.25 * (t1 * t1) - half_log_norm, cells, out=cells)
+    if not root:
+        np.multiply(cells, 2.0, out=cells)
+    half = 0.5 if root else 1.0
+    if cells.min(initial=0.0) >= -708.0 * half:
         np.exp(cells, out=cells)
     else:
-        # exp rounds to 0.0 below about -745.13, so clamping the skipped
-        # exponents to 0.0 gives its bits; NaN fails the mask and survives
-        # the clamp, as it survives exp.
-        np.exp(cells, out=cells, where=cells >= -746.0)
+        # The skipped arguments are negative, so the clamp sets them to
+        # 0.0; NaN fails the mask and survives the clamp, as it survives exp.
+        np.exp(cells, out=cells, where=cells >= -746.0 * half)
         np.maximum(cells, 0.0, out=cells)
-    np.divide(cells, norm, out=cells)
-    if root:
-        np.sqrt(cells, out=cells)
     return out
 
 
-def _band(rho: float, t1: np.ndarray, t2: np.ndarray, one_minus_r2: float) -> slice | None:
-    """The columns of an outer grid where an exponent may reach -760, or
-    None when the grid is not outer or the margin is not certified.
+def _band(rho: float, t1: np.ndarray, t2: np.ndarray, one_minus_r2: float,
+          reach: float) -> slice | None:
+    """The columns of an outer grid where (t2 - rho t1)^2 <= (1 - rho^2)
+    (reach - t1^2) for some row, or None when the grid is not outer or the
+    margin is not certified.
 
-    The exponent is -((t2 - rho t1)^2 + (1 - rho^2) t1^2) / (2 (1 - rho^2)),
-    so exactly it is at least -760 only where
-    (t2 - rho t1)^2 <= (1 - rho^2) (1520 - t1^2): for each t1 in
-    [-sqrt(1520), sqrt(1520)], an interval of t2 about rho t1.  Over the
-    t1 between the rows' least and greatest, the upper end of that interval
-    is concave in t1 and greatest at t1 = rho sqrt(1520), and the lower end
-    convex and least at t1 = -rho sqrt(1520); each is taken at that t1,
-    clipped to the rows' range, and the band is the columns whose t2, which
-    must be non-decreasing, lies between them.  A band of every column is
-    returned as None: it leaves nothing out.
+    `_density_array` passes reach = 4 (380 + row(0)), so these are the
+    cells where the exact density exponent 2 e reaches -760.  For each t1
+    in [-sqrt(reach), sqrt(reach)] the condition is an interval of t2 about
+    rho t1.  Over the t1 between the rows' least and greatest, its upper end
+    is concave in t1 and greatest at t1 = rho sqrt(reach), and its lower
+    end convex and least at t1 = -rho sqrt(reach); each is taken at that
+    t1, clipped to the rows' range, and the band is the columns whose t2,
+    which must be non-decreasing, lies between them.  A band of every
+    column is returned as None: it leaves nothing out; a reach of 0 or less
+    reaches no column.
 
-    Outside the band the exact exponent is below -760; as computed it stays
-    below -746, where exp returns 0.0, as long as rounding moves it by less
-    than the 14 between them.  Rounding moves the numerator
-    t1^2 - 2 rho t1 t2 + t2^2 by at most ~20 eps T^2 for T the largest |t|
-    of the call, and so the exponent by at most ~10 eps T^2 / (1 - rho^2)
-    plus eps times itself; the band's ends move an exponent at the interval
-    ends by far less.  The band is taken only when 16 eps S <= 1 - rho^2,
-    for S >= T^2 the sum of the squares of the least and greatest t1 and
-    the first and last t2, which holds that move below 1; a non-finite t
-    fails the test.
+    The margin.  Outside the band the exact 2 e is below -760; as computed
+    it stays below -746, where the amplitude and the density are 0.0, when
+    rounding moves it by less than the 14 between them.  By
+    `_density_array`'s bound, with |row(0)| <= 753 for any valid
+    parameters and d^2 <= |row(0)| + |e|, the move at 2 e = -760 is below
+    eps (T^2 + 117 K T) + 3e-12, and further out it grows more slowly than
+    -2 e does.  So the band is taken only when eps S (S + 128 K) <= 1, for
+    S >= T the sum of |t| over the least and greatest t1 and the first and
+    last t2 and K = 1 / sqrt(1 - rho^2); a non-finite t fails the test.
+    The band's ends, computed in floats, move an exponent at the interval
+    ends by far less.
     """
     if t1.ndim != 2 or t2.ndim != 2 or t1.shape[1] != 1 or t2.shape[0] != 1 \
             or not (t1.size and t2.size):
         return None
     t1, t2 = t1[:, 0], t2[0]
     low, high, first, last = float(t1.min()), float(t1.max()), float(t2[0]), float(t2[-1])
-    if not 16.0 * _EPS * (low * low + high * high + first * first + last * last) <= one_minus_r2:
+    size = abs(low) + abs(high) + abs(first) + abs(last)
+    if not _EPS * size * (size + 128.0 / math.sqrt(one_minus_r2)) <= 1.0:
         return None
-    edge = math.sqrt(1520.0)
+    if not reach > 0.0:
+        return slice(0, 0)
+    edge = math.sqrt(reach)
     low, high = max(low, -edge), min(high, edge)
     if low > high:
         return slice(0, 0)
 
     def half(t):
-        return math.sqrt(max(one_minus_r2 * (1520.0 - t * t), 0.0))
+        return math.sqrt(max(one_minus_r2 * (reach - t * t), 0.0))
 
     top, bottom = min(max(rho * edge, low), high), min(max(-rho * edge, low), high)
     top, bottom = rho * top + half(top), rho * bottom - half(bottom)

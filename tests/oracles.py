@@ -58,12 +58,35 @@ def plain_exp_density(params, x1, x2):
     temporaries and one plain np.exp over the whole exponent: the reference
     that the library's in-place, block-masked evaluation must match bit for
     bit.  Returns a float for scalar input."""
-    t1 = (np.asarray(x1, dtype=float) - params.m1) / params.sigma1
-    t2 = (np.asarray(x2, dtype=float) - params.m2) / params.sigma2
-    one_minus_r2 = (1.0 - params.rho) * (1.0 + params.rho)
-    z = t1 * t1 - 2.0 * params.rho * t1 * t2 + t2 * t2
-    norm = 2.0 * math.pi * params.sigma1 * params.sigma2 * math.sqrt(one_minus_r2)
-    out = np.exp(-z / (2.0 * one_minus_r2)) / norm
+    out = np.exp(2.0 * _half_exponent(params, x1, x2))
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def plain_exp_amplitude(params, x1, x2):
+    """The wavefunction as one expression and one plain np.exp of half the
+    density's exponent, set to 0.0 where that half exponent is below -373:
+    the bit-for-bit reference of `wavefunction`, which is not
+    sqrt(density) bit for bit.  Returns a numpy scalar for scalar input, as
+    `wavefunction` does."""
+    exponent = _half_exponent(params, x1, x2)
+    out = np.where(exponent < -373.0, 0.0, np.exp(exponent))
+    return out[()] if out.ndim == 0 else out
+
+
+def _half_exponent(params, x1, x2):
+    """-t1^2 / 4 - log(norm) / 2 - d^2 with d = t2 s - (rho s) t1 and
+    s = 1 / (2 sqrt(1 - rho^2)), log(norm) summed from its factors."""
+    t1 = (np.asarray(x1, dtype=float) - params.m1) / params.sigma1
+    t2 = (np.asarray(x2, dtype=float) - params.m2) / params.sigma2
+    s = 0.5 / math.sqrt((1.0 - params.rho) * (1.0 + params.rho))
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = t2 * s - t1 * (params.rho * s)
+        return (-0.25 * (t1 * t1) - 0.5 * log_norm(params)) - d * d
+
+
+def log_norm(params):
+    """log(2 pi sigma1 sigma2 sqrt(1 - rho^2)), summed from its factors."""
+    return (math.log(2.0 * math.pi) + math.log(params.sigma1) + math.log(params.sigma2)
+            + 0.5 * math.log((1.0 - params.rho) * (1.0 + params.rho)))

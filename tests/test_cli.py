@@ -776,11 +776,28 @@ class TestSubprocessEntryPoint:
         betas = [line.split(",")[0] for line in result.stdout.splitlines()[1:]]
         assert betas == ["1.7976931348623157e+308"] * 3
 
+    def test_amplitude_past_the_float_range_is_one_error_line(self):
+        # sigma = 2^-1026 on both axes puts the peak amplitude,
+        # 1 / sqrt(2 pi sigma1 sigma2 sqrt(1 - rho^2)), past the largest
+        # float, and the 3 x 3 box has its middle cell exactly on the means.
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "cvschmidt", "mutual-info", "--m1", "0",
+             "--m2", "0", "--sigma1", "1.390671161567e-309", "--sigma2", "1.390671161567e-309",
+             "--span", "3.214525821558802e+301", "--n", "3"], capture_output=True, text=True)
+        assert result.returncode == 1
+        assert result.stderr.splitlines() == [
+            "error: amplitude function must be finite on the grid"]
+
     @pytest.mark.parametrize("argv", [
         ("table1", "--rho", "1e-300", "--m1", "5e-324", "--sigma1", "1e-320", "--count", "3"),
         ("mutual-info", "--sigma1", "1e-300", "--span", "1e300", "--n", "3"),
     ])
-    def test_density_past_the_float_range_is_one_error_line(self, argv):
+    def test_density_past_the_float_range_leaves_the_amplitude_in_range(self, argv):
+        # The density's peak 1 / norm overflows (sigma1 = 1e-320), or its
+        # expanded exponent is inf - inf (|t| near 7e299), but the amplitude
+        # is one exp of a finite exponent: the cells are in range or 0.0.
         result = self.run(*argv)
-        assert result.returncode == 1
-        assert result.stderr.splitlines() == ["error: amplitude function must be finite on the grid"]
+        assert (result.returncode, result.stderr) == (0, "")
+        for token in re.split(r"[\s,]+", result.stdout):
+            with contextlib.suppress(ValueError):
+                assert math.isfinite(float(token)), token

@@ -303,14 +303,14 @@ class TestSampleState:
             raw_norm = math.sqrt(discretize._sum_of_squares(scaled))
         if factor == 1.0:
             assert 0.0 < raw_norm < math.inf
-            amplitudes = scaled / raw_norm
+            amplitudes = values * (math.sqrt(grid.cell_area) / raw_norm)
         else:
             assert raw_norm in (0.0, math.inf)
             peak = float(np.max(np.abs(values)))
             unit = values / peak
             unit_norm = math.sqrt(discretize._sum_of_squares(unit))
             raw_norm = peak * math.sqrt(grid.cell_area) * unit_norm
-            amplitudes = unit / unit_norm
+            amplitudes = unit * (1.0 / unit_norm)
         assert np.array_equal(state.amplitudes, amplitudes)
         assert state.raw_norm == raw_norm
         # The squares summed while rescaling have the bits of their own walk.
@@ -773,12 +773,15 @@ class TestStateFiles:
     def test_rows_split_as_str_splitlines_splits(self, tmp_path, separator):
         header = json.dumps({"n1": 3, "n2": 2, "lo1": 0.0, "hi1": 1.0,
                              "lo2": 0.0, "hi2": 1.0})
-        text = separator.join([header, "1.0,2.0", "3.0,4.0", "5.0,6.0"]) + separator
+        rows = [header, "1.0,2.0", "3.0,4.0", "5.0,6.0"]
         path = tmp_path / "state.csv"
-        path.write_text(text, encoding="utf-8", newline="")
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8", newline="")
+        expected = read_state_file(path).amplitudes
+        np.testing.assert_allclose(expected, np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+                                   / math.sqrt(91.0), rtol=4e-16, atol=0.0)
+        path.write_text(separator.join(rows) + separator, encoding="utf-8", newline="")
         state = read_state_file(path)
-        expected = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-        np.testing.assert_array_equal(state.amplitudes, expected / np.linalg.norm(expected))
+        np.testing.assert_array_equal(state.amplitudes, expected)
         # A separator inside a row also ends a line, as in str.splitlines.
         path.write_text(header + "\n1.0,2.0" + separator + "3.0,4.0\n5.0,6.0\n7.0,8.0\n",
                         encoding="utf-8", newline="")

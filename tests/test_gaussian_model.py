@@ -1,6 +1,7 @@
 """Tests for the closed-form correlated Gaussian model."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from cvschmidt import (
 from cvschmidt import gaussian_model as gm
 from cvschmidt.discretize import _BLOCK_CELLS, _row_blocks
 from cvschmidt.gaussian_model import hermite_functions
-from oracles import analytic_mode_pair, plain_exp_density
+from oracles import analytic_mode_pair, log_norm, plain_exp_amplitude, plain_exp_density
 
 REFERENCE_K = 2.29415733870562
 REFERENCE_WEIGHTS = (
@@ -157,12 +158,13 @@ class TestInPlaceEvaluation:
     def test_bit_identical_to_the_single_expression(self, params, arguments):
         x1, x2 = arguments
         want = plain_exp_density(params, x1, x2)
+        want_psi = plain_exp_amplitude(params, x1, x2)
         got = density(params, x1, x2)
         psi = wavefunction(params, x1, x2)
         assert type(got) is type(want)
         assert np.array_equal(got, want)
-        assert type(psi) is type(np.sqrt(want))
-        assert np.array_equal(psi, np.sqrt(want))
+        assert type(psi) is type(want_psi)
+        assert np.array_equal(psi, want_psi)
 
 class TestMaskedExp:
     """Each call takes a plain exp or one masked where the exponent is below
@@ -171,12 +173,13 @@ class TestMaskedExp:
     @staticmethod
     def assert_same_bytes(params, x1, x2):
         want = plain_exp_density(params, x1, x2)
+        want_psi = plain_exp_amplitude(params, x1, x2)
         got = density(params, x1, x2)
         psi = wavefunction(params, x1, x2)
         assert type(got) is type(want)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
-        assert type(psi) is type(np.sqrt(want))
-        assert np.asarray(psi).tobytes() == np.sqrt(want).tobytes()
+        assert type(psi) is type(want_psi)
+        assert np.asarray(psi).tobytes() == np.asarray(want_psi).tobytes()
 
     @pytest.mark.parametrize("rho, span", [(0.88, 8.0), (0.9, 8.0), (0.92, 8.0), (0.998, 10.0),
                                            (0.9995, 10.0), (-0.9995, 10.0)])
@@ -200,7 +203,7 @@ class TestMaskedExp:
         assert np.any((blocks[1] > -745.0) & (blocks[1] < -708.0))
         assert blocks[2].max() < -746.0
         state = sample_state(lambda a, b: wavefunction(params, a, b), grid)
-        want = sample_state(lambda a, b: np.sqrt(plain_exp_density(params, a, b)), grid)
+        want = sample_state(lambda a, b: plain_exp_amplitude(params, a, b), grid)
         assert state.amplitudes.tobytes() == want.amplitudes.tobytes()
         assert state.raw_norm == want.raw_norm
         self.assert_same_bytes(params, x1, x2)
@@ -219,15 +222,16 @@ class TestMaskedExp:
 
 class TestDensityBand:
     """On an outer grid, x1 of shape (r, 1) and a non-decreasing x2 of shape
-    (1, n2), only the band of columns where an exponent can reach -760 is
-    computed; every byte stays that of one plain exp, and other calls, and
-    those the band's margin cannot certify, compute every cell."""
+    (1, n2), only the band of columns where the density's exponent can
+    reach -760 is computed; every byte stays that of one plain exp, and other
+    calls, and those the band's margin cannot certify, compute every cell."""
 
     @staticmethod
     def band_of(params, x1, x2):
         t1 = (np.asarray(x1, dtype=float) - params.m1) / params.sigma1
         t2 = (np.asarray(x2, dtype=float) - params.m2) / params.sigma2
-        return gm._band(params.rho, t1, t2, (1.0 - params.rho) * (1.0 + params.rho))
+        reach = 4.0 * (380.0 - 0.5 * log_norm(params))
+        return gm._band(params.rho, t1, t2, (1.0 - params.rho) * (1.0 + params.rho), reach)
 
     @pytest.mark.parametrize("shape, rho, span, shift", [
         ((1000, 1000), 0.9, 8.0, 0.0), ((1000, 1000), -0.92, 8.0, 0.0),
@@ -252,26 +256,28 @@ class TestDensityBand:
                 assert band is not None and band.stop - band.start < shape[1]
             TestMaskedExp.assert_same_bytes(params, x1[rows], x2)
         state = sample_state(lambda a, b: wavefunction(params, a, b), grid)
-        want = sample_state(lambda a, b: np.sqrt(plain_exp_density(params, a, b)), grid)
+        want = sample_state(lambda a, b: plain_exp_amplitude(params, a, b), grid)
         assert state.amplitudes.tobytes() == want.amplitudes.tobytes()
         assert state.raw_norm == want.raw_norm
 
     @pytest.mark.parametrize("rho", [0.9, -0.95, 0.999, -0.9999])
     def test_cells_left_out_lie_below_minus_760(self, rho):
         # A box of +-45 sigma holds the rows where the band's ends are
-        # widest (t1 = +-rho sqrt(1520)).  Every cell outside a block's band
-        # has an exact exponent below -760, evaluated in long double from
-        # the same t; the cells inside reach it on some row of the block.
+        # widest (t1 = +-rho sqrt(reach), below 40 here).  Every cell outside
+        # a block's band has an exact density exponent below -760, evaluated
+        # in long double from the same t and log(norm); the cells inside
+        # reach it on some row of the block.
         params = GaussianParams(rho=rho)
         x1 = np.linspace(-45.0, 45.0, 1301)[:, None]
         x2 = np.linspace(-45.0, 45.0, 1001)[None, :]
         d = np.longdouble((1.0 - rho) * (1.0 + rho))
+        row_zero = np.longdouble(-0.5 * log_norm(params))
         for rows, _ in _row_blocks(np.empty((1301, 1001))):
             band = self.band_of(params, x1[rows], x2)
             if band is None:
                 continue
             t1, t2 = x1[rows].astype(np.longdouble), x2.astype(np.longdouble)
-            exponent = -((t2 - np.longdouble(rho) * t1) ** 2 + d * t1 * t1) / (2 * d)
+            exponent = 2 * (row_zero - t1 * t1 / 4 - (t2 - np.longdouble(rho) * t1) ** 2 / (4 * d))
             outside = np.ones(exponent.shape, dtype=bool)
             outside[:, band] = False
             assert not np.any(exponent[outside] >= -760.0)
@@ -281,7 +287,8 @@ class TestDensityBand:
 
     @pytest.mark.parametrize("rows", [[40.0, 45.0], [-45.0, -40.0]])
     def test_rows_past_the_band_are_all_zero(self, rows):
-        # Rows whose own exponent -t1^2 / 2 is below -760 reach no column.
+        # Rows whose own density exponent -t1^2 / 2 - log(norm) is below
+        # -760 reach no column.
         params = GaussianParams(rho=0.9)
         x1, x2 = np.array(rows)[:, None], np.linspace(-50.0, 50.0, 101)[None, :]
         assert self.band_of(params, x1, x2) == slice(0, 0)
@@ -297,9 +304,9 @@ class TestDensityBand:
          np.linspace(-9.0, 9.0, 50)[None, None, :]),
         (GaussianParams(rho=-0.9995), np.linspace(-9.0, 9.0, 40)[:, None],
          np.linspace(9.0, -9.0, 50)[None, :]),
-        # |t| too large for the margin: 16 eps t^2 > 1 - rho^2.
-        (GaussianParams(rho=1.0 - 2.0 ** -50), np.linspace(-12.0, 12.0, 40)[:, None],
-         np.linspace(-12.0, 12.0, 50)[None, :]),
+        # |t| too large for the margin: eps S (S + 128 K) > 1.
+        (GaussianParams(rho=1.0 - 2.0 ** -50), np.linspace(-1e6, 1e6, 40)[:, None],
+         np.linspace(-1e6, 1e6, 50)[None, :]),
         (GaussianParams(sigma1=1e-300), np.array([[-2.0 / 3.0], [0.0], [2.0 / 3.0]]),
          np.array([[-1e300, 0.0, 1e300]])),
     ], ids=["scalars", "row-vector", "meshgrid", "three-d", "decreasing-x2",
@@ -310,7 +317,65 @@ class TestDensityBand:
             assert self.band_of(params, x1, x2) is None
             want = plain_exp_density(params, x1, x2)
             assert np.array_equal(density(params, x1, x2), want, equal_nan=True)
-            assert np.array_equal(wavefunction(params, x1, x2), np.sqrt(want), equal_nan=True)
+            assert np.array_equal(wavefunction(params, x1, x2),
+                                  plain_exp_amplitude(params, x1, x2), equal_nan=True)
+
+
+class TestAmplitudeAccuracy:
+    """The amplitude and the density against a correctly rounded
+    decimal.Decimal reference (np.longdouble is only a double on some
+    platforms), on the cells above 1e-8 of the peak of n = 1000 grids on
+    both bands and both signs of rho, evaluated in row blocks as
+    `sample_state` calls.
+
+    The bound is `_density_array`'s: the form's rounding moves the exponent
+    by at most eps (t1^2 / 8 + |row| + 5.5 d^2 + 1.5 K T |d|), the rounding
+    of t = (x - m) / sigma adds eps (T^2 / 2 + 2 K T |d|), that of log(norm)
+    at most eps (N + 1) and exp's own at most 2 eps, which the bound
+    eps (4 K T |d| + 2 T^2 + 6 d^2 + 2 N + 4) covers, with |row| <= T^2 / 4
+    + N / 2 and N the sum of |log| of 2 pi, sigma1, sigma2 and 1 - rho^2.
+    The expanded form t1^2 - 2 rho t1 t2 + t2^2, whose rounding grows like
+    eps K^2 T^2, fails it from |rho| 0.998 on."""
+
+    # Decimal has no pi.
+    PI = Decimal("3.14159265358979323846264338327950288419716939937511")
+
+    @pytest.mark.parametrize("rho, span", [(0.9, 8.0), (0.998, 10.0), (0.9995, 10.0),
+                                           (-0.9999, 10.0)])
+    def test_relative_error_within_the_rounding_bound(self, rho, span):
+        params = GaussianParams(m1=0.3, m2=-0.2, sigma1=1.7, sigma2=0.8, rho=rho)
+        grid = build_grid(params, 1000, span=span)
+        x1, x2 = grid.midpoints1[:, None], grid.midpoints2[None, :]
+        psi, p = np.empty((1000, 1000)), np.empty((1000, 1000))
+        for rows, _ in _row_blocks(psi):
+            psi[rows] = wavefunction(params, x1[rows], x2)
+            p[rows] = density(params, x1[rows], x2)
+        cells = np.flatnonzero(psi >= 1e-8 * psi.max())
+        cells = cells[::max(1, cells.size // 3000)]
+        eps = np.finfo(float).eps
+        K = schmidt_number_from_rho(rho)
+        T = max(np.max(np.abs(x1 - params.m1)) / params.sigma1,
+                np.max(np.abs(x2 - params.m2)) / params.sigma2)
+        N = sum(abs(math.log(v)) for v in (2.0 * math.pi, params.sigma1, params.sigma2,
+                                           (1.0 - rho) * (1.0 + rho)))
+        with localcontext() as ctx:
+            ctx.prec = 40
+            m1, m2, s1, s2, r = map(Decimal, (params.m1, params.m2, params.sigma1,
+                                              params.sigma2, rho))
+            one_minus_r2 = 1 - r * r
+            half_log_norm = (2 * self.PI * s1 * s2 * one_minus_r2.sqrt()).ln() / 2
+            scale = 2 * one_minus_r2.sqrt()
+            for i, j in zip(*np.unravel_index(cells, psi.shape)):
+                t1 = (Decimal(x1[i, 0]) - m1) / s1
+                t2 = (Decimal(x2[0, j]) - m2) / s2
+                d = (t2 - r * t1) / scale
+                exact = (-t1 * t1 / 4 - d * d - half_log_norm).exp()
+                bound = eps * (4 * K * T * abs(float(d)) + 2 * T * T + 6 * float(d) ** 2
+                               + 2 * N + 4)
+                error = float(abs(Decimal(psi[i, j]) - exact) / exact)
+                assert error <= bound, (i, j, error, bound)
+                error = float(abs(Decimal(p[i, j]) - exact * exact) / (exact * exact))
+                assert error <= 2 * bound, (i, j, error, 2 * bound)
 
 
 class TestSchmidtNumberMaps:

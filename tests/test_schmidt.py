@@ -807,8 +807,8 @@ class TestGramWindow:
         assert float(np.max(np.abs(seen["gram"] - w.T @ w))) <= 1e-15
 
     @pytest.mark.parametrize("shape, centred", [
-        ((600, 700), False), ((700, 600), False), ((400, 400), True),
-    ], ids=["600x700-off-centre", "700x600-off-centre", "400x400-centred"])
+        ((600, 700), False), ((700, 600), False), ((256, 256), True),
+    ], ids=["600x700-off-centre", "700x600-off-centre", "256x256-centred"])
     def test_gram_squares_the_tall_side(self, shape, centred, eigvalsh_shapes):
         # Two boxes moved off the means like the `off_centre` one, and a
         # centred square state whose hull is 2 columns wider than tall: the
@@ -889,8 +889,9 @@ class TestGramWindow:
         del eigvalsh_shapes[:]
         spectrum = decompose(state)
         assert spectrum.rank == 300 and spectrum.discarded_weight == 0.0
-        kept = min(rows.stop, cols.stop)
-        # The sketch's 16 x 16 Ritz problem, then the window's Gram matrix.
+        kept = cols.stop
+        # The sketch's 16 x 16 Ritz problem, then the Gram matrix of the
+        # window's columns (the state is square, so it is not transposed).
         assert eigvalsh_shapes == [(16, 16), (kept, kept)]
         assert np.all(spectrum.weights[kept:] == 0.0)
         dense = np.linalg.svd(a, compute_uv=False) ** 2
