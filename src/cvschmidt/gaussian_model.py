@@ -192,15 +192,13 @@ def _band(rho: float, t1: np.ndarray, t2: np.ndarray, one_minus_r2: float,
     margin is not certified.
 
     `_density_array` passes reach = 4 (380 + row(0)), so these are the
-    cells where the exact density exponent 2 e reaches -760.  For each t1
-    in [-sqrt(reach), sqrt(reach)] the condition is an interval of t2 about
-    rho t1.  Over the t1 between the rows' least and greatest, its upper end
-    is concave in t1 and greatest at t1 = rho sqrt(reach), and its lower
-    end convex and least at t1 = -rho sqrt(reach); each is taken at that
-    t1, clipped to the rows' range, and the band is the columns whose t2,
-    which must be non-decreasing, lies between them.  A band of every
-    column is returned as None: it leaves nothing out; a reach of 0 or less
-    reaches no column.
+    cells where the exact density exponent 2 e reaches -760.  For each row
+    with t1^2 <= reach the condition is the interval
+    rho t1 -+ sqrt((1 - rho^2) (reach - t1^2)) of t2; the band is the
+    columns whose t2, which must be non-decreasing, lies between the least
+    lower end and the greatest upper end over those rows, and is empty
+    when there is no such row.  A band of every column is returned as
+    None: it leaves nothing out.
 
     The margin.  Outside the band the exact 2 e is below -760; as computed
     it stays below -746, where the amplitude and the density are 0.0, when
@@ -222,18 +220,11 @@ def _band(rho: float, t1: np.ndarray, t2: np.ndarray, one_minus_r2: float,
     size = abs(low) + abs(high) + abs(first) + abs(last)
     if not _EPS * size * (size + 128.0 / math.sqrt(one_minus_r2)) <= 1.0:
         return None
-    if not reach > 0.0:
+    rows = t1[t1 * t1 <= reach]
+    if not rows.size:
         return slice(0, 0)
-    edge = math.sqrt(reach)
-    low, high = max(low, -edge), min(high, edge)
-    if low > high:
-        return slice(0, 0)
-
-    def half(t):
-        return math.sqrt(max(one_minus_r2 * (reach - t * t), 0.0))
-
-    top, bottom = min(max(rho * edge, low), high), min(max(-rho * edge, low), high)
-    top, bottom = rho * top + half(top), rho * bottom - half(bottom)
+    half = np.sqrt(one_minus_r2 * (reach - rows * rows))
+    bottom, top = float(np.min(rho * rows - half)), float(np.max(rho * rows + half))
     # A band that holds the first and last columns leaves nothing out, and
     # needs no check of the order between them.
     if (bottom <= first and last <= top) or not (t2[1:] >= t2[:-1]).all():

@@ -32,15 +32,13 @@ how fast the spectrum decays:
   only to about min(n1, n2) * eps * lambda_0 absolute (Golub & Van Loan,
   Matrix Computations, section 8.6).  A wide state is transposed first, so
   the Gram matrix is always W^T W, for W the edge-trimmed window of the
-  state's tall side (see `_window`).  Its rows and columns are cut while
-  their mass is at most max(eps * total, min(n1, n2) * eps * ritz / 2),
-  for the state's squared norm `total` and the sketch's Ritz value
-  ritz <= lambda_0: inside that accuracy, and by Cauchy interlacing a
-  bound on each weight's drop.  W^T W is summed over the bands that hold
-  W's nonzero squares, and its eigenvalues are padded with exact zeros to
-  min(n1, n2); when W is wider than tall, the eigenvalues past its row
-  count are rounding dust >= 0.  The modes are computed when one is first
-  read, by the dense SVD of the whole state, so `discarded_weight` is 0.0.
+  state's tall side, cut within half that accuracy at the sketch's Ritz
+  value ritz <= lambda_0, so that by Cauchy interlacing the cut bounds
+  each weight's drop (see `_window`).  The eigenvalues of W^T W are padded
+  with exact zeros to min(n1, n2); when W is wider than tall, those past
+  its row count are rounding dust >= 0.  The modes are computed when one
+  is first read, by the dense SVD of the whole state, so
+  `discarded_weight` is 0.0.
 - The Gram route splits by parity.  A state that `build_grid` and
   `sample_state` make is centrosymmetric up to rounding, A = J A J with J
   the reversal of each axis, because its box is centred on the means (the
@@ -52,9 +50,9 @@ how fast the spectrum decays:
   window is widened to its centrosymmetric hull and the weights are the
   eigenvalues of the two blocks of its G (see `_parity_split`).  By Weyl's
   inequality dropping the block E between them moves each weight by at
-  most ||E||_F, so the split is kept only when
-  ||E||_F <= m * eps * lambda_0 for an m x m G, inside the route's
-  accuracy; otherwise the whole G is taken.
+  most ||E||_F, so the split is kept only when ||E||_F <= m * eps * ritz
+  for an m x m G, inside the route's accuracy; a split that fails runs no
+  eigensolve of its blocks, and the whole G is taken.
 
 Sign fixing: each weight's mode pair is flipped jointly so that the
 axis-1 column's first entry whose magnitude is at least half the column's
@@ -212,14 +210,13 @@ def _gram_weights(a: np.ndarray, total: float, ritz: float) -> np.ndarray:
     of its edge-trimmed window and padded with zeros to min(n1, n2).
 
     `total` is the squared norm of `a` that its state checked, and `ritz` a
-    lower bound on its largest weight, which sets the window's cut.  A wide
-    `a` is transposed first, so the Gram matrix is W^T W over the columns
-    of the window of the state's tall side, summed band by band (see
-    `_window`).  When the state may be centrosymmetric, it is split into
-    its even and odd blocks (see `_parity_split`), and the split is kept
-    when the block it drops has ||E||_F <= m * eps * lambda_0; otherwise,
-    and for every other state, the weights are the eigenvalues of the whole
-    Gram matrix.
+    lower bound on its largest weight, which sets the window's cut and the
+    split's budget.  A wide `a` is transposed first, so the Gram matrix is
+    W^T W over the window of the state's tall side (see `_window`).  When
+    the state may be centrosymmetric, the weights are those of its even and
+    odd blocks (see `_parity_split`) if the block E between them has
+    ||E||_F <= m * eps * ritz, else, as for every other state, those of the
+    whole Gram matrix.
     """
     if a.shape[1] > a.shape[0]:
         a = a.T
@@ -228,9 +225,7 @@ def _gram_weights(a: np.ndarray, total: float, ritz: float) -> np.ndarray:
     m = w.shape[1]
     weights = None
     if mirrored:
-        weights, cross = _parity_split(*_quadrants(w, bands, (m + 1) // 2))
-        if cross > weights.size * _EPS * weights[0]:
-            weights = None
+        weights = _parity_split(*_quadrants(w, bands, (m + 1) // 2), m * _EPS * ritz)
     if weights is None:
         weights = _eigenvalues(_quadrants(w, bands, m)[0])
     padded = np.zeros(min(a.shape))
@@ -258,11 +253,11 @@ def _quadrants(w: np.ndarray, bands, h: int):
     return top, bottom, corner
 
 
-def _parity_split(top: np.ndarray, bottom: np.ndarray, corner: np.ndarray):
+def _parity_split(top: np.ndarray, bottom: np.ndarray, corner: np.ndarray, budget: float):
     """Eigenvalues of the even and odd blocks of a Gram matrix G given by
-    its quadrants (see `_quadrants`), merged non-increasing, and the
-    Frobenius norm of the block E between them.  Overwrites `top` and
-    `bottom`.
+    its quadrants (see `_quadrants`), merged non-increasing, or None when
+    the Frobenius norm of the block E between them exceeds `budget`.
+    Overwrites `top` and `bottom`.
 
     With J the reversal of the m = h + q columns (q = floor(m / 2)), the
     even vectors (e_k + e_(m-1-k)) / sqrt(2) and the odd vectors
@@ -274,9 +269,9 @@ def _parity_split(top: np.ndarray, bottom: np.ndarray, corner: np.ndarray):
     between them E = (A - B - C + C^T) / 2, plus, for an odd m, one more
     even row and column and one more row of E from the middle row of G.
     When the window W is centrosymmetric, J G J = G and E = 0; dropping E
-    moves each eigenvalue by at most ||E||_2 <= ||E||_F (Weyl).  The blocks
-    are formed, two times over, in the memory of A and of G[h:, h:], one
-    row block at a time; their eigenvalues are halved.
+    moves each eigenvalue by at most ||E||_2 <= ||E||_F (Weyl).  The doubled
+    blocks are formed in the memory of A and of G[h:, h:] one row block at
+    a time, summing ||E||_F, so a refused split runs no eigensolve.
     """
     q, h = bottom.shape[0], top.shape[0]
     a = top[:q, :q]
@@ -300,36 +295,27 @@ def _parity_split(top: np.ndarray, bottom: np.ndarray, corner: np.ndarray):
         middle *= math.sqrt(2.0)
         top[:q, q] = middle
         top[q, q] *= 2.0
+    if 0.5 * math.sqrt(float(np.sum(cross))) > budget:
+        return None
     values = np.concatenate((np.linalg.eigvalsh(top), np.linalg.eigvalsh(bottom)))
-    weights = np.maximum(0.5 * np.sort(values)[::-1], 0.0)
-    return weights, 0.5 * math.sqrt(float(np.sum(cross)))
-
-
-def _add_band(bands, rows: slice, cols: slice) -> None:
-    """Append the band (rows, cols), or extend the last band over `rows`
-    when it has the same `cols` and ends where `rows` starts."""
-    if bands and bands[-1][1] == cols and bands[-1][0].stop == rows.start:
-        bands[-1] = (slice(bands[-1][0].start, rows.stop), cols)
-    else:
-        bands.append((rows, cols))
+    return np.maximum(0.5 * np.sort(values)[::-1], 0.0)
 
 
 def _window(a: np.ndarray, total: float, ritz: float):
     """The window of `a` left once leading and trailing rows and columns are
-    cut, smallest mass first, while the cut masses sum to at most
-    max(eps * total, min(n1, n2) * eps * ritz / 2), as (rows, cols, bands),
-    and whether the state's masses mirror; when they do, the window is
-    widened to its centrosymmetric hull.
+    cut, as (rows, cols, bands), and whether the state's masses mirror;
+    when they do, the window is widened to its centrosymmetric hull.
 
-    `ritz` is at most the largest weight lambda_0 (the sketch's Ritz value,
-    or 0), so the cut is at most half of the Gram route's accuracy
-    min(n1, n2) * eps * lambda_0, and eps * total is inside it too, since
-    lambda_0 >= total / min(n1, n2).  By interlacing each weight drops by at
-    most the cut.  The row and column masses come from one row-blocked
-    pass, with no BLAS call, so the window is the same at any thread count.
-    The cut rows and columns share their corner cells, so the mass outside
-    the window is at most the sum of the cut masses.  The cut never reaches
-    the last row or column: the budget is below 1e-12 of `total`.
+    Each edge, read from the outside in, is cut while its own mass is at
+    most a quarter of max(eps * total, min(n1, n2) * eps * ritz / 2), for
+    `ritz` at most the largest weight lambda_0 (the sketch's Ritz value, or
+    0).  So the four cuts hold at most half of the Gram route's accuracy
+    min(n1, n2) * eps * lambda_0 (eps * total is inside it, since
+    lambda_0 >= total / min(n1, n2)); they include the mass outside the
+    window, and by interlacing each weight drops by at most their sum.
+    Opposite cuts hold at most half that, less than `total`, so they never
+    meet.  The masses come from one row-blocked pass, with no BLAS call, so
+    the window is the same at any thread count.
 
     A band is a pair of row and column slices of the window: the window's
     rows of one row block, or of a run of consecutive blocks with the same
@@ -360,20 +346,10 @@ def _window(a: np.ndarray, total: float, ritz: float):
         if nonzero.size:
             spans.append((block, int(nonzero[0]), int(nonzero[-1]) + 1))
     cols = np.sum(block_cols, axis=0)
-    # Edges in the order top, bottom, left, right, each read from the outside in.
-    edges = (rows.tolist(), rows[::-1].tolist(), cols.tolist(), cols[::-1].tolist())
-    cuts = [0, 0, 0, 0]
-    heads = [masses[0] for masses in edges]
-    budget = max(_EPS * total, 0.5 * min(n1, n2) * _EPS * ritz)
-    spent = 0.0
-    while True:
-        mass = min(heads)
-        if spent + mass > budget:
-            break
-        edge = heads.index(mass)
-        spent += mass
-        cuts[edge] += 1
-        heads[edge] = edges[edge][cuts[edge]]
+    # The top, bottom, left and right cuts, each edge read from the outside in.
+    quarter = 0.25 * max(_EPS * total, 0.5 * min(n1, n2) * _EPS * ritz)
+    cuts = [int(np.searchsorted(np.cumsum(masses), quarter, side="right"))
+            for masses in (rows, rows[::-1], cols, cols[::-1])]
     mirror = min(n1, n2) * _EPS * total
     if (np.sum(np.abs(rows - rows[::-1])) <= mirror
             and np.sum(np.abs(cols - cols[::-1])) <= mirror):
@@ -390,7 +366,11 @@ def _banded(spans, rows: slice, cols: slice):
         start, stop = max(block.start, rows.start) - rows.start, min(block.stop, rows.stop) - rows.start
         lo, hi = max(lo, cols.start) - cols.start, min(hi, cols.stop) - cols.start
         if start < stop and lo < hi:
-            _add_band(bands, slice(start, stop), slice(lo, hi))
+            # A block with the same columns as the last band, right below
+            # it, extends that band.
+            if bands and bands[-1][1] == slice(lo, hi) and bands[-1][0].stop == start:
+                start = bands.pop()[0].start
+            bands.append((slice(start, stop), slice(lo, hi)))
     return rows, cols, bands
 
 

@@ -806,19 +806,24 @@ class TestGramWindow:
         assert seen["gram"].tobytes() == single_gram(w, bands).tobytes()
         assert float(np.max(np.abs(seen["gram"] - w.T @ w))) <= 1e-15
 
-    @pytest.mark.parametrize("shape, centred", [
-        ((600, 700), False), ((700, 600), False), ((256, 256), True),
-    ], ids=["600x700-off-centre", "700x600-off-centre", "256x256-centred"])
-    def test_gram_squares_the_tall_side(self, shape, centred, eigvalsh_shapes):
-        # Two boxes moved off the means like the `off_centre` one, and a
-        # centred square state whose hull is 2 columns wider than tall: the
-        # Gram matrix is W^T W over the row bands of the window of the state
-        # transposed to its tall side, whichever side of that window is longer.
+    @pytest.mark.parametrize("shape, box", [
+        ((600, 700), (-17.0, 23.0, -10.0, 10.0)), ((700, 600), (-17.0, 23.0, -10.0, 10.0)),
+        ((256, 256), (-17.0, 23.0, -9.0, 9.0)), ((256, 256), None),
+    ], ids=["600x700-off-centre", "700x600-off-centre", "256x256-off-centre-wide",
+            "256x256-centred"])
+    def test_gram_squares_the_tall_side(self, shape, box, eigvalsh_shapes):
+        # Two boxes moved off the means like the `off_centre` one; a square
+        # off-centre box whose axis-2 side spans 18 sigma against axis 1's
+        # 20, so that its window is wider than tall; and a centred square
+        # state, whose hull is square.  The Gram matrix is W^T W over the row
+        # bands of the window of the state transposed to its tall side,
+        # whichever side of that window is longer.
+        centred = box is None
         if centred:
             state = centred_state(shape, 0.9995)
         else:
             params = GaussianParams(m1=1.0, m2=-1.0, sigma1=2.0, sigma2=1.0, rho=0.9995)
-            grid = GridSpec(n1=shape[0], n2=shape[1], lo1=-17.0, hi1=23.0, lo2=-10.0, hi2=10.0)
+            grid = GridSpec(shape[0], shape[1], *box)
             state = sample_state(lambda x1, x2: wavefunction(params, x1, x2), grid)
         a = oriented(state.amplitudes)
         assert a.shape == (max(shape), min(shape))
@@ -827,8 +832,8 @@ class TestGramWindow:
         assert mirrored == centred
         w = a[rows, cols]
         m = w.shape[1]
-        if centred:
-            assert m > w.shape[0]
+        if shape == (256, 256):
+            assert m == w.shape[0] if centred else m > w.shape[0]
         covered = np.zeros(w.shape, dtype=bool)
         for band_rows, band_cols in bands:
             covered[band_rows, band_cols] = True
@@ -980,18 +985,37 @@ def antisymmetric_bump(shape):
     return x - x[::-1, ::-1]
 
 
-def split_of(state):
-    """The parity split of the centrosymmetric hull of the oriented state:
-    the weights, the reported ||E||_F, the budget it is held to and the
-    hull's Gram eigenvalues without the split."""
+def even_odd_cross(gram):
+    """||E||_F for the block E between the even and odd blocks of `gram`:
+    P^T J P = diag(I, -I) for the even/odd basis P, so P^T (G - J G J) P
+    holds 2 E and 2 E^T off its diagonal and ||G - J G J||_F = sqrt(8) ||E||_F."""
+    return float(np.linalg.norm(gram - gram[::-1, ::-1])) / math.sqrt(8.0)
+
+
+def hull_of(state):
+    """The centrosymmetric hull W of the oriented state, its bands, and the
+    budget m * eps * ritz that the split's ||E||_F is held to."""
     a = oriented(state.amplitudes)
-    (rows, cols, bands), mirrored = schmidt_module._window(a, state._squared_norm, ritz_of(state))
+    ritz = ritz_of(state)
+    (rows, cols, bands), mirrored = schmidt_module._window(a, state._squared_norm, ritz)
     assert mirrored
     w = a[rows, cols]
-    m = w.shape[1]
-    weights, cross = schmidt_module._parity_split(*schmidt_module._quadrants(w, bands, (m + 1) // 2))
-    single = schmidt_module._eigenvalues(schmidt_module._quadrants(w, bands, m)[0])
-    return weights, cross, weights.size * TestGramWindow.EPS * weights[0], single
+    return w, bands, w.shape[1] * TestGramWindow.EPS * ritz
+
+
+def split_at(w, bands, budget):
+    """`_parity_split` of the hull's quadrants, held to `budget`."""
+    return schmidt_module._parity_split(
+        *schmidt_module._quadrants(w, bands, (w.shape[1] + 1) // 2), budget)
+
+
+def split_of(state):
+    """The parity split of the centrosymmetric hull of the oriented state,
+    held to no budget: the weights, ||E||_F from the hull's Gram matrix, the
+    budget it is held to and the hull's Gram eigenvalues without the split."""
+    w, bands, budget = hull_of(state)
+    gram = single_gram(w, bands)
+    return split_at(w, bands, math.inf), even_odd_cross(gram), budget, schmidt_module._eigenvalues(gram)
 
 
 def corner_state():
@@ -1019,7 +1043,7 @@ class TestParitySplit:
     inside the route's accuracy."""
 
     # The two eigensolvers' own rounding, beside the certified ||E||_F: it
-    # added at most 4.9e-16 over the 62 split states of the README's sweep.
+    # added at most 4.9e-16 over the 62 split states of a 152-state sweep.
     ROUNDING = 1e-15
 
     @pytest.fixture(scope="class", params=[
@@ -1083,14 +1107,21 @@ class TestParitySplit:
             basis[m // 2, m // 2] = 1.0
         np.testing.assert_allclose(basis.T @ basis, np.eye(m), rtol=0.0, atol=1e-15)
         rotated = basis.T @ gram @ basis
-        quadrants = gram[:h, :h].copy(), gram[h:, h:].copy(), gram[:h, h:].copy()
-        weights, cross = schmidt_module._parity_split(*quadrants)
-        blocks = np.r_[np.linalg.eigvalsh(rotated[:h, :h]), np.linalg.eigvalsh(rotated[h:, h:])]
-        np.testing.assert_allclose(weights, np.sort(blocks)[::-1], rtol=1e-12)
+        cross = even_odd_cross(gram)
         assert cross == pytest.approx(float(np.linalg.norm(rotated[:h, h:])), rel=1e-12)
 
+        def quadrants():
+            return gram[:h, :h].copy(), gram[h:, h:].copy(), gram[:h, h:].copy()
+
+        # Refused just below ||E||_F, kept just above it.
+        assert schmidt_module._parity_split(*quadrants(), cross * (1.0 - 1e-9)) is None
+        weights = schmidt_module._parity_split(*quadrants(), cross * (1.0 + 1e-9))
+        blocks = np.r_[np.linalg.eigvalsh(rotated[:h, :h]), np.linalg.eigvalsh(rotated[h:, h:])]
+        np.testing.assert_allclose(weights, np.sort(blocks)[::-1], rtol=1e-12)
+
     @pytest.mark.parametrize("shape", [(300, 300), (256, 300)])
-    def test_antisymmetric_perturbation_above_the_budget_is_refused(self, shape):
+    def test_antisymmetric_perturbation_above_the_budget_is_refused(self, shape,
+                                                                    eigvalsh_shapes):
         a = centred_state(shape, 0.998).amplitudes
         for scale, refused in ((1e-16, False), (1e-14, True)):
             perturbed = a + scale * antisymmetric_bump(shape)
@@ -1098,13 +1129,22 @@ class TestParitySplit:
             b = oriented(state.amplitudes)
             weights, cross, budget, single = split_of(state)
             assert (cross > budget) == refused
-            # A refused split takes the hull's single Gram matrix.
+            # The split is refused just below ||E||_F and kept just above it.
+            w, bands, _ = hull_of(state)
+            m = w.shape[1]
+            assert split_at(w, bands, cross * (1.0 - 1e-9)) is None
+            assert split_at(w, bands, cross * (1.0 + 1e-9)).tobytes() == weights.tobytes()
             window = schmidt_module._window(b, state._squared_norm, ritz_of(state))[0]
             expected = single_gram_weights(b, window)
+            del eigvalsh_shapes[:]
             got = decompose(state).weights
             if refused:
+                # No half-size eigensolve: the sketch's 16 x 16 Ritz problem,
+                # then the hull's single Gram matrix.
+                assert eigvalsh_shapes == [(16, 16), (m, m)]
                 assert got.tobytes() == expected.tobytes()
             else:
+                assert eigvalsh_shapes == [(16, 16), ((m + 1) // 2,) * 2, (m // 2,) * 2]
                 assert got[:weights.size].tobytes() == weights.tobytes()
                 assert float(np.max(np.abs(weights - single))) <= cross + self.ROUNDING
             dense = np.linalg.svd(b, compute_uv=False) ** 2
