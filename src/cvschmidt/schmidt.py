@@ -50,9 +50,11 @@ how fast the spectrum decays:
   window is widened to its centrosymmetric hull and the weights are the
   eigenvalues of the two blocks of its G (see `_parity_split`).  By Weyl's
   inequality dropping the block E between them moves each weight by at
-  most ||E||_F, so the split is kept only when ||E||_F <= m * eps * ritz
-  for an m x m G, inside the route's accuracy; a split that fails runs no
-  eigensolve of its blocks, and the whole G is taken.
+  most ||E||_F, so the split is kept only when ||E||_F <= m * eps * f for
+  an m x m G, inside the route's accuracy, with f the larger of ritz and
+  a Rayleigh quotient of the even block, both at most lambda_0; a split
+  that fails runs no eigensolve of its blocks, and the whole G is
+  taken.
 
 Sign fixing: each weight's mode pair is flipped jointly so that the
 axis-1 column's first entry whose magnitude is at least half the column's
@@ -210,12 +212,13 @@ def _gram_weights(a: np.ndarray, total: float, ritz: float) -> np.ndarray:
     of its edge-trimmed window and padded with zeros to min(n1, n2).
 
     `total` is the squared norm of `a` that its state checked, and `ritz` a
-    lower bound on its largest weight, which sets the window's cut and the
-    split's budget.  A wide `a` is transposed first, so the Gram matrix is
-    W^T W over the window of the state's tall side (see `_window`).  When
-    the state may be centrosymmetric, the weights are those of its even and
-    odd blocks (see `_parity_split`) if the block E between them has
-    ||E||_F <= m * eps * ritz, else, as for every other state, those of the
+    lower bound on its largest weight, which sets the window's cut and
+    bounds the split's budget from below.  A wide `a` is transposed first,
+    so the Gram matrix is W^T W over the window of the state's tall side
+    (see `_window`).  When the state may be centrosymmetric, the weights
+    are those of its even and odd blocks (see `_parity_split`) if the block
+    E between them has ||E||_F <= m * eps * f, for f at least `ritz` and at
+    most lambda_0; else, as for every other state, they are those of the
     whole Gram matrix.
     """
     if a.shape[1] > a.shape[0]:
@@ -225,7 +228,7 @@ def _gram_weights(a: np.ndarray, total: float, ritz: float) -> np.ndarray:
     m = w.shape[1]
     weights = None
     if mirrored:
-        weights = _parity_split(*_quadrants(w, bands, (m + 1) // 2), m * _EPS * ritz)
+        weights = _parity_split(*_quadrants(w, bands, (m + 1) // 2), ritz)
     if weights is None:
         weights = _eigenvalues(_quadrants(w, bands, m)[0])
     padded = np.zeros(min(a.shape))
@@ -253,10 +256,10 @@ def _quadrants(w: np.ndarray, bands, h: int):
     return top, bottom, corner
 
 
-def _parity_split(top: np.ndarray, bottom: np.ndarray, corner: np.ndarray, budget: float):
+def _parity_split(top: np.ndarray, bottom: np.ndarray, corner: np.ndarray, ritz: float):
     """Eigenvalues of the even and odd blocks of a Gram matrix G given by
     its quadrants (see `_quadrants`), merged non-increasing, or None when
-    the Frobenius norm of the block E between them exceeds `budget`.
+    the Frobenius norm of the block E between them exceeds m * eps * f.
     Overwrites `top` and `bottom`.
 
     With J the reversal of the m = h + q columns (q = floor(m / 2)), the
@@ -272,6 +275,14 @@ def _parity_split(top: np.ndarray, bottom: np.ndarray, corner: np.ndarray, budge
     moves each eigenvalue by at most ||E||_2 <= ||E||_F (Weyl).  The doubled
     blocks are formed in the memory of A and of G[h:, h:] one row block at
     a time, summing ||E||_F, so a refused split runs no eigensolve.
+
+    f is the larger of `ritz`, a lower bound on lambda_0, and the Rayleigh
+    quotient u^T S u / u^T u of the even block S for u its diagonal (or 0
+    when u is): that is the Rayleigh quotient of P^T G P for the vector
+    (u, 0), so it is at most lambda_0 too, whatever E is.  It is one
+    product of the even block with a vector, and at rho near +-1, where
+    the sketch's 16-column Ritz value can be 0.70 of lambda_0, it is about
+    0.83 of it.
     """
     q, h = bottom.shape[0], top.shape[0]
     a = top[:q, :q]
@@ -295,7 +306,11 @@ def _parity_split(top: np.ndarray, bottom: np.ndarray, corner: np.ndarray, budge
         middle *= math.sqrt(2.0)
         top[:q, q] = middle
         top[q, q] *= 2.0
-    if 0.5 * math.sqrt(float(np.sum(cross))) > budget:
+    # The Rayleigh quotient of the even block's diagonal u, at most lambda_0.
+    u = top.diagonal()
+    norm = float(u @ u)
+    floor = 0.5 * float(u @ top @ u) / norm if norm > 0.0 else 0.0
+    if 0.5 * math.sqrt(float(np.sum(cross))) > (h + q) * _EPS * max(ritz, floor):
         return None
     values = np.concatenate((np.linalg.eigvalsh(top), np.linalg.eigvalsh(bottom)))
     return np.maximum(0.5 * np.sort(values)[::-1], 0.0)

@@ -992,28 +992,59 @@ def even_odd_cross(gram):
     return float(np.linalg.norm(gram - gram[::-1, ::-1])) / math.sqrt(8.0)
 
 
+def even_odd_basis(m):
+    """The orthogonal P whose first (m + 1) // 2 columns are the even
+    vectors (e_k + e_(m-1-k)) / sqrt(2), with e_(m // 2) for an odd m, and
+    whose others are the odd vectors (e_k - e_(m-1-k)) / sqrt(2)."""
+    h = (m + 1) // 2
+    basis = np.zeros((m, m))
+    for k in range(m // 2):
+        basis[[k, m - 1 - k], k] = math.sqrt(0.5)
+        basis[[k, m - 1 - k], h + k] = (math.sqrt(0.5), -math.sqrt(0.5))
+    if m % 2:
+        basis[m // 2, m // 2] = 1.0
+    return basis
+
+
+def lambda_floor(gram, ritz):
+    """The larger of `ritz` and the Rayleigh quotient of `gram`'s even block
+    S at S's diagonal, both at most the largest eigenvalue of `gram`."""
+    even = even_odd_basis(gram.shape[0])[:, :(gram.shape[0] + 1) // 2]
+    block = even.T @ gram @ even
+    u = block.diagonal()
+    return max(ritz, float(u @ block @ u / (u @ u)))
+
+
 def hull_of(state):
-    """The centrosymmetric hull W of the oriented state, its bands, and the
-    budget m * eps * ritz that the split's ||E||_F is held to."""
+    """The centrosymmetric hull W of the oriented state, its bands, the
+    sketch's Ritz value and the budget m * eps * f that the split's ||E||_F
+    is held to, for f the `lambda_floor` of the hull's Gram matrix."""
     a = oriented(state.amplitudes)
     ritz = ritz_of(state)
     (rows, cols, bands), mirrored = schmidt_module._window(a, state._squared_norm, ritz)
     assert mirrored
     w = a[rows, cols]
-    return w, bands, w.shape[1] * TestGramWindow.EPS * ritz
+    floor = lambda_floor(single_gram(w, bands), ritz)
+    return w, bands, ritz, w.shape[1] * TestGramWindow.EPS * floor
 
 
-def split_at(w, bands, budget):
-    """`_parity_split` of the hull's quadrants, held to `budget`."""
+def split_at(w, bands, ritz):
+    """`_parity_split` of the hull's quadrants, with the Ritz value `ritz`."""
     return schmidt_module._parity_split(
-        *schmidt_module._quadrants(w, bands, (w.shape[1] + 1) // 2), budget)
+        *schmidt_module._quadrants(w, bands, (w.shape[1] + 1) // 2), ritz)
+
+
+def ritz_for(budget, m):
+    """The Ritz value that sets the split's budget of an m x m Gram matrix
+    to `budget`, when the even block's floor is below it."""
+    return budget / (m * TestGramWindow.EPS)
 
 
 def split_of(state):
     """The parity split of the centrosymmetric hull of the oriented state,
     held to no budget: the weights, ||E||_F from the hull's Gram matrix, the
     budget it is held to and the hull's Gram eigenvalues without the split."""
-    w, bands, budget = hull_of(state)
+    w, bands, _, budget = hull_of(state)
     gram = single_gram(w, bands)
     return split_at(w, bands, math.inf), even_odd_cross(gram), budget, schmidt_module._eigenvalues(gram)
 
@@ -1099,12 +1130,7 @@ class TestParitySplit:
         x = np.random.default_rng(m).standard_normal((m, m))
         gram = x @ x.T
         h = (m + 1) // 2
-        basis = np.zeros((m, m))
-        for k in range(m // 2):
-            basis[[k, m - 1 - k], k] = math.sqrt(0.5)
-            basis[[k, m - 1 - k], h + k] = (math.sqrt(0.5), -math.sqrt(0.5))
-        if m % 2:
-            basis[m // 2, m // 2] = 1.0
+        basis = even_odd_basis(m)
         np.testing.assert_allclose(basis.T @ basis, np.eye(m), rtol=0.0, atol=1e-15)
         rotated = basis.T @ gram @ basis
         cross = even_odd_cross(gram)
@@ -1113,9 +1139,12 @@ class TestParitySplit:
         def quadrants():
             return gram[:h, :h].copy(), gram[h:, h:].copy(), gram[:h, h:].copy()
 
-        # Refused just below ||E||_F, kept just above it.
-        assert schmidt_module._parity_split(*quadrants(), cross * (1.0 - 1e-9)) is None
-        weights = schmidt_module._parity_split(*quadrants(), cross * (1.0 + 1e-9))
+        # Refused just below ||E||_F, kept just above it: the even block's
+        # floor, at most ~4 m, sets a budget far below ||E||_F.
+        assert m * TestGramWindow.EPS * lambda_floor(gram, 0.0) < 1e-3 * cross
+        below, above = (ritz_for(cross * (1.0 + t), m) for t in (-1e-12, 1e-12))
+        assert schmidt_module._parity_split(*quadrants(), below) is None
+        weights = schmidt_module._parity_split(*quadrants(), above)
         blocks = np.r_[np.linalg.eigvalsh(rotated[:h, :h]), np.linalg.eigvalsh(rotated[h:, h:])]
         np.testing.assert_allclose(weights, np.sort(blocks)[::-1], rtol=1e-12)
 
@@ -1129,11 +1158,16 @@ class TestParitySplit:
             b = oriented(state.amplitudes)
             weights, cross, budget, single = split_of(state)
             assert (cross > budget) == refused
-            # The split is refused just below ||E||_F and kept just above it.
-            w, bands, _ = hull_of(state)
+            w, bands, _, _ = hull_of(state)
             m = w.shape[1]
-            assert split_at(w, bands, cross * (1.0 - 1e-9)) is None
-            assert split_at(w, bands, cross * (1.0 + 1e-9)).tobytes() == weights.tobytes()
+            if refused:
+                # Refused just below ||E||_F and kept just above it.
+                below, above = (ritz_for(cross * (1.0 + t), m) for t in (-1e-12, 1e-12))
+                assert split_at(w, bands, below) is None
+                assert split_at(w, bands, above).tobytes() == weights.tobytes()
+            else:
+                # Kept on the even block's floor alone.
+                assert split_at(w, bands, 0.0).tobytes() == weights.tobytes()
             window = schmidt_module._window(b, state._squared_norm, ritz_of(state))[0]
             expected = single_gram_weights(b, window)
             del eigvalsh_shapes[:]
@@ -1149,6 +1183,37 @@ class TestParitySplit:
                 assert float(np.max(np.abs(weights - single))) <= cross + self.ROUNDING
             dense = np.linalg.svd(b, compute_uv=False) ** 2
             assert float(np.max(np.abs(got - dense))) <= 1e-14
+
+    def test_split_over_the_ritz_budget_is_kept_on_the_even_floor(self, eigvalsh_shapes):
+        # At rho 0.9999 the sketch's 16-column Ritz value is ~0.72 lambda_0
+        # and the even block's floor ~0.83 lambda_0; an antisymmetric
+        # perturbation inside the state's support puts ||E||_F between the
+        # two budgets, so the split is kept.
+        a = centred_state((600, 600), 0.9999).amplitudes
+        x = a * np.random.default_rng(7).standard_normal(a.shape)
+        perturbed = a + 1.05e-14 * (x - x[::-1, ::-1])
+        state = unit_square_state(perturbed / np.linalg.norm(perturbed))
+        w, bands, ritz, _ = hull_of(state)
+        m = w.shape[1]
+        weights, cross, budget, single = split_of(state)
+        assert m * TestGramWindow.EPS * ritz < cross <= budget
+        assert lambda_floor(single_gram(w, bands), ritz) <= single[0]
+        del eigvalsh_shapes[:]
+        got = decompose(state).weights
+        assert eigvalsh_shapes == [(16, 16), ((m + 1) // 2,) * 2, (m // 2,) * 2]
+        assert got[:m].tobytes() == weights.tobytes()
+        assert float(np.max(np.abs(weights - single))) <= cross + self.ROUNDING
+
+    def test_zero_even_block_splits_without_a_warning(self):
+        # G = [[A, -A J], [-J A, J A J]] is odd under J: its even block comes
+        # out 0 to the last bit, so the even block's floor is 0, not 0 / 0.
+        x = np.random.default_rng(3).standard_normal((4, 4))
+        a = x @ x.T
+        weights = schmidt_module._parity_split(a.copy(), a[::-1, ::-1].copy(), -a[:, ::-1], 0.0)
+        gram = np.block([[a, -a[:, ::-1]], [-a[::-1, :], a[::-1, ::-1]]])
+        assert np.all(weights[4:] == 0.0)
+        np.testing.assert_allclose(weights, np.sort(np.linalg.eigvalsh(gram))[::-1],
+                                   rtol=0.0, atol=1e-13)
 
     @pytest.mark.parametrize("make", [corner_state, noise_state, curved_state],
                              ids=["corner-mean", "noise", "curved"])
