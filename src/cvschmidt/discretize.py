@@ -169,7 +169,7 @@ class DiscretizedState:
     def _summed(cls, grid: GridSpec, amplitudes: np.ndarray, raw_norm: float,
                 total: float) -> "DiscretizedState":
         """The state of `amplitudes`, checked against `total`, their squared
-        norm summed with the bits of `_sum_of_squares`, instead of a new walk."""
+        norm as a `_sum_of_squares` walk summed it, instead of a new walk."""
         state = cls.__new__(cls)
         for name, value in (("grid", grid), ("amplitudes", amplitudes), ("raw_norm", raw_norm)):
             object.__setattr__(state, name, value)
@@ -288,9 +288,8 @@ def _normalized_state(grid: GridSpec, values: np.ndarray, zero_message: str,
     fill(rows) (see `_sum_of_squares`).  Non-finite values are looked for
     only when the norm is not a positive finite number.  The norms are
     row-blocked sums with no BLAS call, so the state has the same bits at
-    any BLAS thread count.  The walk that rescales the values, one multiply
-    by sqrt(cell area) / raw_norm, also sums their new squares, which the
-    state checks instead of walking them again (see `_rescaled`).
+    any BLAS thread count.  The rescale, one multiply per row block, is the
+    fill of the `_sum_of_squares` walk whose sum the state checks.
     """
     scale = math.sqrt(grid.cell_area)
     squared = _sum_of_squares(values, scale, fill)
@@ -298,39 +297,30 @@ def _normalized_state(grid: GridSpec, values: np.ndarray, zero_message: str,
     # that such squares could make up takes the peak-scaled path below.
     if values.size * _TINY < squared < math.inf:
         raw_norm = math.sqrt(squared)
-        total = _rescaled(values, scale / raw_norm)
-        return DiscretizedState._summed(grid, values, raw_norm, total)
-    # NaN propagates through max and min, so a non-finite value shows here.
-    high, low = float(np.max(values)), float(np.min(values))
-    if not (math.isfinite(high) and math.isfinite(low)):
-        raise DomainError("amplitude function must be finite on the grid")
-    peak = max(high, -low)
-    if peak == 0.0:
-        raise DomainError(zero_message)
-    # The squared norm left the float range, or the normal range of each
-    # square; the normalized state is scale-invariant, so normalize the
-    # peak-scaled values instead.
+        factor = scale / raw_norm
+    else:
+        # NaN propagates through max and min, so a non-finite value shows here.
+        high, low = float(np.max(values)), float(np.min(values))
+        if not (math.isfinite(high) and math.isfinite(low)):
+            raise DomainError("amplitude function must be finite on the grid")
+        peak = max(high, -low)
+        if peak == 0.0:
+            raise DomainError(zero_message)
+        # The squared norm left the float range, or the normal range of each
+        # square; the normalized state is scale-invariant, so normalize the
+        # peak-scaled values instead.
+        with np.errstate(under="ignore"):
+            values /= peak
+        unit_norm = math.sqrt(_sum_of_squares(values))
+        factor = 1.0 / unit_norm
+        raw_norm = peak * scale * unit_norm
+
+    def rescale(rows: slice) -> None:
+        np.multiply(values[rows], factor, out=values[rows])
+
     with np.errstate(under="ignore"):
-        values /= peak
-    unit_norm = math.sqrt(_sum_of_squares(values))
-    total = _rescaled(values, 1.0 / unit_norm)
-    raw_norm = peak * scale * unit_norm
+        total = _sum_of_squares(values, fill=rescale)
     return DiscretizedState._summed(grid, values, raw_norm, total)
-
-
-def _rescaled(values: np.ndarray, factor: float) -> float:
-    """Multiply `values` by `factor` in place, one row block at a time, and
-    return the sum of the squares of the result, taken while each block is
-    in cache with the blocks and ops of `_sum_of_squares`, so with its
-    bits."""
-    sums = []
-    with np.errstate(under="ignore"):
-        for rows, squares in _row_blocks(values):
-            block = values[rows]
-            block *= factor
-            np.multiply(block, block, out=squares)
-            sums.append(np.sum(squares))
-    return float(np.sum(sums))
 
 
 def _row_blocks(a: np.ndarray):
@@ -349,8 +339,9 @@ def _sum_of_squares(a: np.ndarray, scale: float | None = None, fill=None) -> flo
     """Row-blocked pairwise sum of the squares of `a`, or of `a * scale`;
     inf when they overflow.
 
-    With `fill`, fill(rows) first writes each block of rows of `a`, so that
-    the block is summed while it is in cache.
+    With `fill`, fill(rows) first writes each block of rows of `a` (its
+    samples, or their rescale to unit norm), so that the block is summed
+    while it is in cache.
     """
     sums = []
     for rows, squares in _row_blocks(a):

@@ -48,13 +48,12 @@ how fast the spectrum decays:
   half the size (Cantoni & Butler, Linear Algebra Appl. 13:275, 1976).
   When the window's row and column masses match their mirror images, the
   window is widened to its centrosymmetric hull and the weights are the
-  eigenvalues of the two blocks of its G (see `_parity_split`).  By Weyl's
-  inequality dropping the block E between them moves each weight by at
-  most ||E||_F, so the split is kept only when ||E||_F <= m * eps * f for
-  an m x m G, inside the route's accuracy, with f the larger of ritz and
-  a Rayleigh quotient of the even block, both at most lambda_0; a split
-  that fails runs no eigensolve of its blocks, and the whole G is
-  taken.
+  eigenvalues of the two blocks of its G (see `_parity_split`).  Dropping
+  the block E between them moves each weight by at most ||E||_F (Weyl), so
+  the split is kept only when ||E||_F <= m * eps * f for an m x m G, with
+  f <= lambda_0 the even block's Rayleigh quotient at its own diagonal:
+  inside the route's accuracy.  A refused split runs no eigensolve of its
+  blocks, and the whole G is taken.
 
 Sign fixing: each weight's mode pair is flipped jointly so that the
 axis-1 column's first entry whose magnitude is at least half the column's
@@ -211,15 +210,14 @@ def _gram_weights(a: np.ndarray, total: float, ritz: float) -> np.ndarray:
     """Squared singular values of `a`, non-increasing, from the Gram matrix
     of its edge-trimmed window and padded with zeros to min(n1, n2).
 
-    `total` is the squared norm of `a` that its state checked, and `ritz` a
-    lower bound on its largest weight, which sets the window's cut and
-    bounds the split's budget from below.  A wide `a` is transposed first,
-    so the Gram matrix is W^T W over the window of the state's tall side
-    (see `_window`).  When the state may be centrosymmetric, the weights
-    are those of its even and odd blocks (see `_parity_split`) if the block
-    E between them has ||E||_F <= m * eps * f, for f at least `ritz` and at
-    most lambda_0; else, as for every other state, they are those of the
-    whole Gram matrix.
+    `total` is the squared norm of `a` that its state checked, and `ritz`
+    a lower bound on its largest weight, which sets the window's cut.  A
+    wide `a` is transposed first, so the Gram matrix is W^T W over the
+    window of the state's tall side (see `_window`).  When the state may be
+    centrosymmetric, the weights are those of its even and odd blocks if
+    the block E between them has ||E||_F <= m * eps * f, for f <= lambda_0
+    the even block's Rayleigh quotient (see `_parity_split`); else, as for
+    every other state, they are those of the whole Gram matrix.
     """
     if a.shape[1] > a.shape[0]:
         a = a.T
@@ -228,7 +226,7 @@ def _gram_weights(a: np.ndarray, total: float, ritz: float) -> np.ndarray:
     m = w.shape[1]
     weights = None
     if mirrored:
-        weights = _parity_split(*_quadrants(w, bands, (m + 1) // 2), ritz)
+        weights = _parity_split(*_quadrants(w, bands, (m + 1) // 2))
     if weights is None:
         weights = _eigenvalues(_quadrants(w, bands, m)[0])
     padded = np.zeros(min(a.shape))
@@ -256,11 +254,13 @@ def _quadrants(w: np.ndarray, bands, h: int):
     return top, bottom, corner
 
 
-def _parity_split(top: np.ndarray, bottom: np.ndarray, corner: np.ndarray, ritz: float):
+def _parity_split(top: np.ndarray, bottom: np.ndarray, corner: np.ndarray):
     """Eigenvalues of the even and odd blocks of a Gram matrix G given by
     its quadrants (see `_quadrants`), merged non-increasing, or None when
-    the Frobenius norm of the block E between them exceeds m * eps * f.
-    Overwrites `top` and `bottom`.
+    the Frobenius norm of the block E between them exceeds m * eps * f, for
+    f the Rayleigh quotient u^T S u / u^T u of the even block S at its
+    diagonal u (0 when u is): that of P^T G P at (u, 0), so at most
+    lambda_0 whatever E is.  Overwrites `top` and `bottom`.
 
     With J the reversal of the m = h + q columns (q = floor(m / 2)), the
     even vectors (e_k + e_(m-1-k)) / sqrt(2) and the odd vectors
@@ -271,18 +271,9 @@ def _parity_split(top: np.ndarray, bottom: np.ndarray, corner: np.ndarray, ritz:
     (A + B + C + C^T) / 2, its odd block (A + B - C - C^T) / 2 and the block
     between them E = (A - B - C + C^T) / 2, plus, for an odd m, one more
     even row and column and one more row of E from the middle row of G.
-    When the window W is centrosymmetric, J G J = G and E = 0; dropping E
-    moves each eigenvalue by at most ||E||_2 <= ||E||_F (Weyl).  The doubled
-    blocks are formed in the memory of A and of G[h:, h:] one row block at
-    a time, summing ||E||_F, so a refused split runs no eigensolve.
-
-    f is the larger of `ritz`, a lower bound on lambda_0, and the Rayleigh
-    quotient u^T S u / u^T u of the even block S for u its diagonal (or 0
-    when u is): that is the Rayleigh quotient of P^T G P for the vector
-    (u, 0), so it is at most lambda_0 too, whatever E is.  It is one
-    product of the even block with a vector, and at rho near +-1, where
-    the sketch's 16-column Ritz value can be 0.70 of lambda_0, it is about
-    0.83 of it.
+    E = 0 when the window W is centrosymmetric, since then J G J = G.  The
+    doubled blocks are formed in the memory of A and of G[h:, h:] one row
+    block at a time, summing ||E||_F, so a refused split runs no eigensolve.
     """
     q, h = bottom.shape[0], top.shape[0]
     a = top[:q, :q]
@@ -310,10 +301,9 @@ def _parity_split(top: np.ndarray, bottom: np.ndarray, corner: np.ndarray, ritz:
     u = top.diagonal()
     norm = float(u @ u)
     floor = 0.5 * float(u @ top @ u) / norm if norm > 0.0 else 0.0
-    if 0.5 * math.sqrt(float(np.sum(cross))) > (h + q) * _EPS * max(ritz, floor):
+    if 0.5 * math.sqrt(float(np.sum(cross))) > (h + q) * _EPS * floor:
         return None
-    values = np.concatenate((np.linalg.eigvalsh(top), np.linalg.eigvalsh(bottom)))
-    return np.maximum(0.5 * np.sort(values)[::-1], 0.0)
+    return 0.5 * np.sort(np.concatenate((_eigenvalues(top), _eigenvalues(bottom))))[::-1]
 
 
 def _window(a: np.ndarray, total: float, ritz: float):
@@ -556,9 +546,9 @@ def reconstruct(spectrum: SchmidtSpectrum, rank: int) -> np.ndarray:
     so s_k**2 = lambda_k on the dense route.  On the sketch and Gram routes
     the weights are Gram eigenvalues (of the sketch block, or of a window)
     and differ by rounding: the square root of a ~1e-17 eigenvalue would
-    not pair with its singular vectors.  The result is not renormalized: its Frobenius distance to the
-    original amplitude matrix is the truncated tail, squared residual =
-    sum_{k>=rank} lambda_k + discarded_weight.
+    not pair with its singular vectors.  The result is not renormalized: its
+    Frobenius distance to the original amplitude matrix is the truncated
+    tail, squared residual = sum_{k>=rank} lambda_k + discarded_weight.
     """
     if not 1 <= rank <= spectrum.rank:
         raise DomainError(f"rank must be in [1, {spectrum.rank}], got {rank}")

@@ -737,6 +737,15 @@ class TestDispatcher:
     def test_unknown_command_is_an_input_error(self, capsys):
         assert run_cli(capsys, "frobnicate")[0] == 1
 
+    def test_interrupt_is_one_aborted_line(self, capsys, monkeypatch):
+        # Ctrl-C inside a command: click turns the KeyboardInterrupt into
+        # Abort after a newline on stderr, and main maps Abort to exit 1.
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli_module, "info_report", interrupted)
+        assert run_cli(capsys, "info", "--K", "2") == (1, "", "\naborted\n")
+
     def test_runs_are_deterministic(self, capsys):
         first = run_cli(capsys, "table1", "--grids", "30")
         second = run_cli(capsys, "table1", "--grids", "30")

@@ -339,20 +339,20 @@ class TestCertificate:
         calls = []
         sum_of_squares = discretize._sum_of_squares
 
-        def counting(a, *args):
+        def counting(a, *args, **kwargs):
             calls.append(a.shape)
-            return sum_of_squares(a, *args)
+            return sum_of_squares(a, *args, **kwargs)
 
         monkeypatch.setattr(discretize, "_sum_of_squares", counting)
         monkeypatch.setattr(schmidt_module, "_sum_of_squares", counting, raising=False)
         state = gaussian_state(reference_params, 400, span=8.0)
-        # The raw norm before the rescale; the walk that rescales sums the
-        # squares the state checks, with the bits of a walk of their own.
-        assert calls == [(400, 400)]
+        # The raw norm before the rescale, then the walk whose fill rescales
+        # and whose sum the state checks, with the bits of a walk of its own.
+        assert calls == [(400, 400)] * 2
         assert state._squared_norm == sum_of_squares(state.amplitudes)
         spectrum = decompose(state)
         spectrum.modes1
-        assert calls == [(400, 400)]
+        assert calls == [(400, 400)] * 2
         assert spectrum.rank < 400
         # The sketch fed a squared norm summed again from the amplitudes.
         weights, factor, discarded = schmidt_module._sketch(state.amplitudes,
@@ -1006,13 +1006,13 @@ def even_odd_basis(m):
     return basis
 
 
-def lambda_floor(gram, ritz):
-    """The larger of `ritz` and the Rayleigh quotient of `gram`'s even block
-    S at S's diagonal, both at most the largest eigenvalue of `gram`."""
+def lambda_floor(gram):
+    """The Rayleigh quotient of `gram`'s even block S at S's diagonal, at
+    most the largest eigenvalue of `gram`."""
     even = even_odd_basis(gram.shape[0])[:, :(gram.shape[0] + 1) // 2]
     block = even.T @ gram @ even
     u = block.diagonal()
-    return max(ritz, float(u @ block @ u / (u @ u)))
+    return float(u @ block @ u / (u @ u))
 
 
 def hull_of(state):
@@ -1024,29 +1024,26 @@ def hull_of(state):
     (rows, cols, bands), mirrored = schmidt_module._window(a, state._squared_norm, ritz)
     assert mirrored
     w = a[rows, cols]
-    floor = lambda_floor(single_gram(w, bands), ritz)
+    floor = lambda_floor(single_gram(w, bands))
     return w, bands, ritz, w.shape[1] * TestGramWindow.EPS * floor
 
 
-def split_at(w, bands, ritz):
-    """`_parity_split` of the hull's quadrants, with the Ritz value `ritz`."""
-    return schmidt_module._parity_split(
-        *schmidt_module._quadrants(w, bands, (w.shape[1] + 1) // 2), ritz)
-
-
-def ritz_for(budget, m):
-    """The Ritz value that sets the split's budget of an m x m Gram matrix
-    to `budget`, when the even block's floor is below it."""
-    return budget / (m * TestGramWindow.EPS)
+def quadrants(gram):
+    """Copies of the three quadrants of `gram` that `_parity_split` takes."""
+    h = (gram.shape[0] + 1) // 2
+    return gram[:h, :h].copy(), gram[h:, h:].copy(), gram[:h, h:].copy()
 
 
 def split_of(state):
-    """The parity split of the centrosymmetric hull of the oriented state,
-    held to no budget: the weights, ||E||_F from the hull's Gram matrix, the
-    budget it is held to and the hull's Gram eigenvalues without the split."""
+    """The parity split of the centrosymmetric hull of the oriented state:
+    the weights (None when refused), ||E||_F from the hull's Gram matrix,
+    the budget it is held to and the hull's Gram eigenvalues without the
+    split."""
     w, bands, _, budget = hull_of(state)
     gram = single_gram(w, bands)
-    return split_at(w, bands, math.inf), even_odd_cross(gram), budget, schmidt_module._eigenvalues(gram)
+    weights = schmidt_module._parity_split(
+        *schmidt_module._quadrants(w, bands, (w.shape[1] + 1) // 2))
+    return weights, even_odd_cross(gram), budget, schmidt_module._eigenvalues(gram)
 
 
 def corner_state():
@@ -1135,18 +1132,44 @@ class TestParitySplit:
         rotated = basis.T @ gram @ basis
         cross = even_odd_cross(gram)
         assert cross == pytest.approx(float(np.linalg.norm(rotated[:h, h:])), rel=1e-12)
-
-        def quadrants():
-            return gram[:h, :h].copy(), gram[h:, h:].copy(), gram[:h, h:].copy()
-
-        # Refused just below ||E||_F, kept just above it: the even block's
-        # floor, at most ~4 m, sets a budget far below ||E||_F.
-        assert m * TestGramWindow.EPS * lambda_floor(gram, 0.0) < 1e-3 * cross
-        below, above = (ritz_for(cross * (1.0 + t), m) for t in (-1e-12, 1e-12))
-        assert schmidt_module._parity_split(*quadrants(), below) is None
-        weights = schmidt_module._parity_split(*quadrants(), above)
+        # The even block's floor, at most ~4 m, sets a budget far below ||E||_F.
+        assert m * TestGramWindow.EPS * lambda_floor(gram) < 1e-3 * cross
+        assert schmidt_module._parity_split(*quadrants(gram)) is None
+        # S + J S J for a symmetric S commutes with J to the last bit, so its
+        # E is 0 and the split is kept, with the eigenvalues of its blocks.
+        symmetric = gram + gram.T
+        mirrored = symmetric + symmetric[::-1, ::-1]
+        rotated = basis.T @ mirrored @ basis
+        weights = schmidt_module._parity_split(*quadrants(mirrored))
         blocks = np.r_[np.linalg.eigvalsh(rotated[:h, :h]), np.linalg.eigvalsh(rotated[h:, h:])]
         np.testing.assert_allclose(weights, np.sort(blocks)[::-1], rtol=1e-12)
+
+    @pytest.mark.parametrize("m", [7, 8, 301, 600])
+    def test_split_is_refused_just_above_its_budget(self, m):
+        # G = diag(d) + s P, for a mirrored d and a symmetric P with
+        # J P J = -P and a zero diagonal: no entry of G sums a d and a P
+        # term, so its even block, and so f, do not depend on s, and
+        # E = s E(P) forms with no rounding at the scale of G.  Scaling P
+        # steers ||E||_F to within 1e-12 of the budget m * eps * f.
+        rng = np.random.default_rng(m)
+        d = rng.uniform(0.5, 1.0, m)
+        d = np.minimum(d, d[::-1])
+        x = rng.standard_normal((m, m))
+        x += x.T
+        p = x - x[::-1, ::-1]
+        np.fill_diagonal(p, 0.0)
+        budget = m * TestGramWindow.EPS * lambda_floor(np.diag(d))
+        for t, refused in ((1e-12, True), (-1e-12, False)):
+            gram = np.diag(d) + budget * (1.0 + t) / even_odd_cross(p) * p
+            assert even_odd_cross(gram) == pytest.approx(budget * (1.0 + t), rel=1e-14)
+            weights = schmidt_module._parity_split(*quadrants(gram))
+            assert (weights is None) == refused
+        # Kept: the even and odd blocks are diag(d[:h]) and diag(d[:q]).
+        h = (m + 1) // 2
+        np.testing.assert_allclose(weights, np.sort(np.r_[d[:h], d[:m // 2]])[::-1],
+                                   rtol=1e-15, atol=0.0)
+        single = np.linalg.eigvalsh(gram)[::-1]
+        assert float(np.max(np.abs(weights - single))) <= budget + self.ROUNDING
 
     @pytest.mark.parametrize("shape", [(300, 300), (256, 300)])
     def test_antisymmetric_perturbation_above_the_budget_is_refused(self, shape,
@@ -1158,16 +1181,8 @@ class TestParitySplit:
             b = oriented(state.amplitudes)
             weights, cross, budget, single = split_of(state)
             assert (cross > budget) == refused
-            w, bands, _, _ = hull_of(state)
-            m = w.shape[1]
-            if refused:
-                # Refused just below ||E||_F and kept just above it.
-                below, above = (ritz_for(cross * (1.0 + t), m) for t in (-1e-12, 1e-12))
-                assert split_at(w, bands, below) is None
-                assert split_at(w, bands, above).tobytes() == weights.tobytes()
-            else:
-                # Kept on the even block's floor alone.
-                assert split_at(w, bands, 0.0).tobytes() == weights.tobytes()
+            assert (weights is None) == refused
+            m = single.size
             window = schmidt_module._window(b, state._squared_norm, ritz_of(state))[0]
             expected = single_gram_weights(b, window)
             del eigvalsh_shapes[:]
@@ -1187,8 +1202,9 @@ class TestParitySplit:
     def test_split_over_the_ritz_budget_is_kept_on_the_even_floor(self, eigvalsh_shapes):
         # At rho 0.9999 the sketch's 16-column Ritz value is ~0.72 lambda_0
         # and the even block's floor ~0.83 lambda_0; an antisymmetric
-        # perturbation inside the state's support puts ||E||_F between the
-        # two budgets, so the split is kept.
+        # perturbation inside the state's support puts ||E||_F between a
+        # budget on the Ritz value and the one on the floor, which keeps
+        # the split.
         a = centred_state((600, 600), 0.9999).amplitudes
         x = a * np.random.default_rng(7).standard_normal(a.shape)
         perturbed = a + 1.05e-14 * (x - x[::-1, ::-1])
@@ -1197,7 +1213,7 @@ class TestParitySplit:
         m = w.shape[1]
         weights, cross, budget, single = split_of(state)
         assert m * TestGramWindow.EPS * ritz < cross <= budget
-        assert lambda_floor(single_gram(w, bands), ritz) <= single[0]
+        assert lambda_floor(single_gram(w, bands)) <= single[0]
         del eigvalsh_shapes[:]
         got = decompose(state).weights
         assert eigvalsh_shapes == [(16, 16), ((m + 1) // 2,) * 2, (m // 2,) * 2]
@@ -1209,7 +1225,7 @@ class TestParitySplit:
         # out 0 to the last bit, so the even block's floor is 0, not 0 / 0.
         x = np.random.default_rng(3).standard_normal((4, 4))
         a = x @ x.T
-        weights = schmidt_module._parity_split(a.copy(), a[::-1, ::-1].copy(), -a[:, ::-1], 0.0)
+        weights = schmidt_module._parity_split(a.copy(), a[::-1, ::-1].copy(), -a[:, ::-1])
         gram = np.block([[a, -a[:, ::-1]], [-a[::-1, :], a[::-1, ::-1]]])
         assert np.all(weights[4:] == 0.0)
         np.testing.assert_allclose(weights, np.sort(np.linalg.eigvalsh(gram))[::-1],
