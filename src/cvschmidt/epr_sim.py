@@ -38,7 +38,7 @@ import numpy as np
 from .errors import DomainError
 from .information import coincidence_probability
 from .schmidt import _schmidt_number
-from .util import validate_weights
+from .util import require_integer, validate_weights
 
 # Most symbol pairs (trials * n, two draws each) one experiment may draw:
 # 100 times a 10^6-trial run at n = 4.  Draws are made in blocks, so this
@@ -101,21 +101,15 @@ def _draw(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.random(shape)
 
 
-def _require_seed(seed: int) -> None:
-    """Reject a negative seed, which numpy's generators do not accept."""
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
-
-
 def sample_stream(weights, n: int, seed: int) -> np.ndarray:
     """Draw n independent symbols from the categorical distribution.
 
     Deterministic for a fixed seed (>= 0); returns an integer index array.
     """
-    if n < 1:
-        raise DomainError(f"stream length must be >= 1, got {n}")
+    n = require_integer(n, "stream length", 1)
     cum = _cumulative(validate_weights(weights))
-    _require_seed(seed)
+    # numpy's generators take no negative seed.
+    seed = require_integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     return _symbols(cum, _guide_table(cum), _draw(rng, n))
 
@@ -180,25 +174,23 @@ def run_coincidence_experiment(weights, n: int, trials: int, seed: int) -> Coinc
     blocks of about _CHUNK_SYMBOLS symbol pairs, so memory stays bounded;
     trials * n is capped at MAX_SYMBOL_PAIRS to bound the run time.
     """
-    if n < 1:
-        raise DomainError(f"stream length must be >= 1, got {n}")
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
-    pairs = int(trials) * int(n)
+    n = require_integer(n, "stream length", 1)
+    trials = require_integer(trials, "trials", 1)
+    pairs = trials * n
     if pairs > MAX_SYMBOL_PAIRS:
         raise DomainError(f"trials * n = {pairs} exceeds the budget of "
                           f"{MAX_SYMBOL_PAIRS} symbol pairs")
     w = validate_weights(weights)
-    _require_seed(seed)
+    seed = require_integer(seed, "seed", 0)
     K = _schmidt_number(w)
-    hits = _count_hits(_cumulative(w), K, int(n), int(trials), seed)
+    hits = _count_hits(_cumulative(w), K, n, trials, seed)
     p_hat = hits / trials
     return CoincidenceReport(
-        n_symbols=int(n),
-        trials=int(trials),
+        n_symbols=n,
+        trials=trials,
         hits=hits,
         p_hat=p_hat,
         p_theory=coincidence_probability(K, n),
         std_err=math.sqrt(p_hat * (1.0 - p_hat) / trials),
-        seed=int(seed),
+        seed=seed,
     )

@@ -34,8 +34,6 @@ _SQRT_WEIGHT_FLOOR = 1e-12
 _MAX_MODES = 512
 _TAIL_MASS = 1e-12
 _MAX_TRUNCATED_WEIGHTS = 1_000_000
-# Float64 machine epsilon, the unit of the density band's rounding margin.
-_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -142,15 +140,6 @@ def _density_array(params: GaussianParams, x1, x2, root: bool = False) -> np.nda
     correlated grid the masked exp is the faster one; `sample_state` calls
     once per row block, so the choice is made per block.
 
-    On an outer grid, x1 of shape (r, 1) and a non-decreasing x2 of shape
-    (1, n2) as `sample_state` passes them, the ops run only on a band of
-    columns and the cells outside it are set to 0.0: the columns where, for
-    some row, the exact 2 e reaches -760 (see `_band`, whose margin holds
-    every cell left out below -746 as computed, so each cell has the bits
-    of the whole computation).  Every other call, an outer grid whose band
-    would hold every column, and one whose margin is not certified,
-    computes every cell.
-
     Overflow and invalid operations raise no warning: an exponent that
     overflows to -inf gives exp(-inf) = 0.0, and the inf or NaN cells of
     parameters at the float limits are returned as they are
@@ -163,73 +152,20 @@ def _density_array(params: GaussianParams, x1, x2, root: bool = False) -> np.nda
     half_log_norm = 0.5 * (math.log(2.0 * math.pi) + math.log(params.sigma1)
                            + math.log(params.sigma2) + 0.5 * math.log(one_minus_r2))
     out = np.empty(np.broadcast_shapes(t1.shape, t2.shape))
-    band = _band(params.rho, t1, t2, one_minus_r2, 4.0 * (380.0 - half_log_norm))
-    cells = out
-    if band is not None:
-        out[:, :band.start] = 0.0
-        out[:, band.stop:] = 0.0
-        cells, t2 = out[:, band], t2[:, band]
-    np.subtract(t2 * s, t1 * (params.rho * s), out=cells)
-    np.multiply(cells, cells, out=cells)
-    np.subtract(-0.25 * (t1 * t1) - half_log_norm, cells, out=cells)
+    np.subtract(t2 * s, t1 * (params.rho * s), out=out)
+    np.multiply(out, out, out=out)
+    np.subtract(-0.25 * (t1 * t1) - half_log_norm, out, out=out)
     if not root:
-        np.multiply(cells, 2.0, out=cells)
+        np.multiply(out, 2.0, out=out)
     half = 0.5 if root else 1.0
-    if cells.min(initial=0.0) >= -708.0 * half:
-        np.exp(cells, out=cells)
+    if out.min(initial=0.0) >= -708.0 * half:
+        np.exp(out, out=out)
     else:
         # The skipped arguments are negative, so the clamp sets them to
         # 0.0; NaN fails the mask and survives the clamp, as it survives exp.
-        np.exp(cells, out=cells, where=cells >= -746.0 * half)
-        np.maximum(cells, 0.0, out=cells)
+        np.exp(out, out=out, where=out >= -746.0 * half)
+        np.maximum(out, 0.0, out=out)
     return out
-
-
-def _band(rho: float, t1: np.ndarray, t2: np.ndarray, one_minus_r2: float,
-          reach: float) -> slice | None:
-    """The columns of an outer grid where (t2 - rho t1)^2 <= (1 - rho^2)
-    (reach - t1^2) for some row, or None when the grid is not outer or the
-    margin is not certified.
-
-    `_density_array` passes reach = 4 (380 + row(0)), so these are the
-    cells where the exact density exponent 2 e reaches -760.  For each row
-    with t1^2 <= reach the condition is the interval
-    rho t1 -+ sqrt((1 - rho^2) (reach - t1^2)) of t2; the band is the
-    columns whose t2, which must be non-decreasing, lies between the least
-    lower end and the greatest upper end over those rows, and is empty
-    when there is no such row.  A band of every column is returned as
-    None: it leaves nothing out.
-
-    The margin.  Outside the band the exact 2 e is below -760; as computed
-    it stays below -746, where the amplitude and the density are 0.0, when
-    rounding moves it by less than the 14 between them.  By
-    `_density_array`'s bound, with |row(0)| <= 753 for any valid
-    parameters and d^2 <= |row(0)| + |e|, the move at 2 e = -760 is below
-    eps (T^2 + 117 K T) + 3e-12, and further out it grows more slowly than
-    -2 e does.  So the band is taken only when eps S (S + 128 K) <= 1, for
-    S >= T the sum of |t| over the least and greatest t1 and the first and
-    last t2 and K = 1 / sqrt(1 - rho^2); a non-finite t fails the test.
-    The band's ends, computed in floats, move an exponent at the interval
-    ends by far less.
-    """
-    if t1.ndim != 2 or t2.ndim != 2 or t1.shape[1] != 1 or t2.shape[0] != 1 \
-            or not (t1.size and t2.size):
-        return None
-    t1, t2 = t1[:, 0], t2[0]
-    low, high, first, last = float(t1.min()), float(t1.max()), float(t2[0]), float(t2[-1])
-    size = abs(low) + abs(high) + abs(first) + abs(last)
-    if not _EPS * size * (size + 128.0 / math.sqrt(one_minus_r2)) <= 1.0:
-        return None
-    rows = t1[t1 * t1 <= reach]
-    if not rows.size:
-        return slice(0, 0)
-    half = np.sqrt(one_minus_r2 * (reach - rows * rows))
-    bottom, top = float(np.min(rho * rows - half)), float(np.max(rho * rows + half))
-    # A band that holds the first and last columns leaves nothing out, and
-    # needs no check of the order between them.
-    if (bottom <= first and last <= top) or not (t2[1:] >= t2[:-1]).all():
-        return None
-    return slice(int(t2.searchsorted(bottom, side="left")), int(t2.searchsorted(top, side="right")))
 
 
 def _require_rho(rho: float) -> None:

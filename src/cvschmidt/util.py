@@ -1,6 +1,7 @@
 """Small helpers shared by the public modules."""
 
 import math
+import operator
 
 import numpy as np
 
@@ -38,14 +39,25 @@ def require_schmidt_number(K) -> None:
         raise DomainError(f"Schmidt number must be finite, got {K}")
 
 
+def require_integer(value, what: str, least: int) -> int:
+    """Return value as an int, or raise DomainError when operator.index
+    refuses it (2.5, 3.0, "3", None) or it is below `least`."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {value!r}") from None
+    if value < least:
+        raise DomainError(f"{what} must be >= {least}, got {value}")
+    return value
+
+
 def require_symbol_count(n, K=1.0) -> None:
-    """Raise DomainError unless a symbol count (pairs per sample) is >= 1
-    and n log2 K, the information it carries at Schmidt number K and the
-    largest value an information report holds, is a finite float.  At the
-    default K = 1 that is 0, so only a count that does not convert to
-    float fails."""
-    if n < 1:
-        raise DomainError(f"symbol count must be >= 1, got {n}")
+    """Raise DomainError unless a symbol count (pairs per sample) is an
+    integer >= 1 and n log2 K, the information it carries at Schmidt number
+    K and the largest value an information report holds, is a finite float.
+    At the default K = 1 that is 0, so only a count that does not convert
+    to float fails."""
+    n = require_integer(n, "symbol count", 1)
     try:
         finite = math.isfinite(n * math.log(K) / _LN2)
     except OverflowError:

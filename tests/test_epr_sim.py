@@ -91,9 +91,10 @@ class TestSampleStream:
         with pytest.raises(DomainError):
             sample_stream(weights, 10, seed=0)
 
-    def test_stream_length_must_be_positive(self):
-        with pytest.raises(DomainError):
-            sample_stream([1.0], 0, seed=0)
+    @pytest.mark.parametrize("n", [0, 2.5, 3.0, "3", None])
+    def test_stream_length_must_be_a_positive_integer(self, n):
+        with pytest.raises(DomainError, match="stream length must be"):
+            sample_stream([1.0], n, seed=0)
 
     @pytest.mark.parametrize("weights", [
         flat(7), flat(300), geometric(0.9), geometric(0.999), geometric(0.9999),
@@ -254,23 +255,43 @@ class TestCoincidenceExperiment:
         with pytest.raises(Drawing):
             run_coincidence_experiment([0.5, 0.5], 4, MAX_SYMBOL_PAIRS // 4, seed=0)
 
-    def test_negative_seed_rejected_before_drawing(self, monkeypatch):
+    @pytest.mark.parametrize("seed, message", [(-1, "seed must be >= 0, got -1"),
+                                               (1.5, "seed must be an integer, got 1.5"),
+                                               (0.0, "seed must be an integer, got 0.0"),
+                                               (None, "seed must be an integer, got None")])
+    def test_bad_seed_rejected_before_drawing(self, monkeypatch, seed, message):
         def no_generator(*args):
             raise AssertionError("built a generator before checking the seed")
 
         monkeypatch.setattr(np.random, "default_rng", no_generator)
-        for draw in (lambda: sample_stream([0.5, 0.5], 3, -1),
-                     lambda: run_coincidence_experiment([0.5, 0.5], 2, 10, -1)):
-            with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
+        for draw in (lambda: sample_stream([0.5, 0.5], 3, seed),
+                     lambda: run_coincidence_experiment([0.5, 0.5], 2, 10, seed)):
+            with pytest.raises(DomainError, match=message):
                 draw()
 
-    def test_invalid_arguments_rejected(self):
+    @pytest.mark.parametrize("weights, n, trials", [
+        ([0.5, 0.5], 0, 100), ([0.5, 0.5], 1, 0), ([0.5, 0.6], 1, 100),
+        # Counts that operator.index refuses: 1000.5 trials would report
+        # trials=1000 beside p_hat = hits / 1000.5.
+        ([0.5, 0.5], 2.5, 100), ([0.5, 0.5], 2.0, 100), ([0.5, 0.5], 2, 1000.5),
+        ([0.5, 0.5], 2, 1000.0), ([0.5, 0.5], 2, "1000"),
+    ])
+    def test_invalid_arguments_rejected_before_drawing(self, monkeypatch, weights, n, trials):
+        def no_draws(*args):
+            raise AssertionError("drew before checking the arguments")
+
+        monkeypatch.setattr(epr_sim, "_draw", no_draws)
         with pytest.raises(DomainError):
-            run_coincidence_experiment([0.5, 0.5], 0, 100, seed=0)
-        with pytest.raises(DomainError):
-            run_coincidence_experiment([0.5, 0.5], 1, 0, seed=0)
-        with pytest.raises(DomainError):
-            run_coincidence_experiment([0.5, 0.6], 1, 100, seed=0)
+            run_coincidence_experiment(weights, n, trials, seed=0)
+
+    def test_integer_like_arguments_keep_their_bits(self):
+        plain = run_coincidence_experiment([0.5, 0.5], 2, 1000, seed=7)
+        numpy_ints = run_coincidence_experiment([0.5, 0.5], np.int64(2), np.int32(1000),
+                                                seed=np.uint64(7))
+        assert numpy_ints == plain
+        assert type(numpy_ints.trials) is int and type(numpy_ints.seed) is int
+        assert np.array_equal(sample_stream([0.5, 0.5], np.int64(50), np.int64(7)),
+                              sample_stream([0.5, 0.5], 50, 7))
 
 
 class TestChunkedExperiment:

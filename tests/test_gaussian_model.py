@@ -31,7 +31,7 @@ from cvschmidt import (
 from cvschmidt import gaussian_model as gm
 from cvschmidt.discretize import _BLOCK_CELLS, _row_blocks
 from cvschmidt.gaussian_model import hermite_functions
-from oracles import analytic_mode_pair, log_norm, plain_exp_amplitude, plain_exp_density
+from oracles import analytic_mode_pair, plain_exp_amplitude, plain_exp_density
 
 REFERENCE_K = 2.29415733870562
 REFERENCE_WEIGHTS = (
@@ -181,12 +181,32 @@ class TestMaskedExp:
         assert type(psi) is type(want_psi)
         assert np.asarray(psi).tobytes() == np.asarray(want_psi).tobytes()
 
-    @pytest.mark.parametrize("rho, span", [(0.88, 8.0), (0.9, 8.0), (0.92, 8.0), (0.998, 10.0),
-                                           (0.9995, 10.0), (-0.9995, 10.0)])
-    def test_grid_bands_at_n_1000(self, rho, span):
+    @pytest.mark.parametrize("shape, rho, span, shift", [
+        ((1000, 1000), 0.88, 8.0, 0.0), ((1000, 1000), 0.9, 8.0, 0.0),
+        ((1000, 1000), 0.92, 8.0, 0.0), ((1000, 1000), -0.92, 8.0, 0.0),
+        ((1000, 1000), 0.998, 10.0, 0.0), ((1000, 1000), 0.9995, 10.0, 0.0),
+        ((1000, 1000), -0.9995, 10.0, 0.0),
+        ((999, 999), 0.998, 10.0, 0.0), ((999, 999), -0.88, 8.0, 0.0),
+        ((256, 300), 0.9999, 10.0, 0.0), ((700, 1000), -0.998, 10.0, 0.0),
+        ((1000, 1000), 0.9995, 10.0, 1.0), ((301, 301), -0.9999, 10.0, -1.5),
+    ])
+    def test_sampled_grids(self, shape, rho, span, shift):
+        # Grids as `build_grid` makes them, rectangular ones cut from its
+        # box, and boxes moved off the means by `shift` sigmas; the whole
+        # grid, each of `sample_state`'s row blocks and the sampled state.
         params = GaussianParams(m1=0.3, m2=-0.2, sigma1=1.7, sigma2=0.8, rho=rho)
-        grid = build_grid(params, 1000, span=span)
-        self.assert_same_bytes(params, grid.midpoints1[:, None], grid.midpoints2[None, :])
+        box = build_grid(params, shape[0], span=span)
+        grid = GridSpec(n1=shape[0], n2=shape[1],
+                        lo1=box.lo1 + shift * params.sigma1, hi1=box.hi1 + shift * params.sigma1,
+                        lo2=box.lo2 - shift * params.sigma2, hi2=box.hi2 - shift * params.sigma2)
+        x1, x2 = grid.midpoints1[:, None], grid.midpoints2[None, :]
+        self.assert_same_bytes(params, x1, x2)
+        for rows, _ in _row_blocks(np.empty(shape)):
+            self.assert_same_bytes(params, x1[rows], x2)
+        state = sample_state(lambda a, b: wavefunction(params, a, b), grid)
+        want = sample_state(lambda a, b: plain_exp_amplitude(params, a, b), grid)
+        assert state.amplitudes.tobytes() == want.amplitudes.tobytes()
+        assert state.raw_norm == want.raw_norm
 
     def test_row_blocks_mixing_the_plain_and_masked_paths(self):
         # Exponent -(x1^2 + x2^2) / 2 over three row blocks: the first stays
@@ -219,106 +239,26 @@ class TestMaskedExp:
     def test_broadcast_shapes_and_scalars(self, x1, x2):
         self.assert_same_bytes(GaussianParams(m1=0.5, sigma1=0.7, rho=0.999), x1, x2)
 
-
-class TestDensityBand:
-    """On an outer grid, x1 of shape (r, 1) and a non-decreasing x2 of shape
-    (1, n2), only the band of columns where the density's exponent can
-    reach -760 is computed; every byte stays that of one plain exp, and other
-    calls, and those the band's margin cannot certify, compute every cell."""
-
-    @staticmethod
-    def band_of(params, x1, x2):
-        t1 = (np.asarray(x1, dtype=float) - params.m1) / params.sigma1
-        t2 = (np.asarray(x2, dtype=float) - params.m2) / params.sigma2
-        reach = 4.0 * (380.0 - 0.5 * log_norm(params))
-        return gm._band(params.rho, t1, t2, (1.0 - params.rho) * (1.0 + params.rho), reach)
-
-    @pytest.mark.parametrize("shape, rho, span, shift", [
-        ((1000, 1000), 0.9, 8.0, 0.0), ((1000, 1000), -0.92, 8.0, 0.0),
-        ((1000, 1000), 0.9995, 10.0, 0.0), ((1000, 1000), -0.9995, 10.0, 0.0),
-        ((999, 999), 0.998, 10.0, 0.0), ((999, 999), -0.88, 8.0, 0.0),
-        ((256, 300), 0.9999, 10.0, 0.0), ((700, 1000), -0.998, 10.0, 0.0),
-        ((1000, 1000), 0.9995, 10.0, 1.0), ((301, 301), -0.9999, 10.0, -1.5),
-    ])
-    def test_row_blocks_keep_the_bytes_of_one_plain_exp(self, shape, rho, span, shift):
-        # Grids as `build_grid` makes them, rectangular ones cut from its
-        # box, and boxes moved off the means by `shift` sigmas.
-        params = GaussianParams(m1=1.0, m2=-1.0, sigma1=2.0, sigma2=1.0, rho=rho)
-        box = build_grid(params, shape[0], span=span)
-        grid = GridSpec(n1=shape[0], n2=shape[1], lo1=box.lo1 + 2.0 * shift,
-                        hi1=box.hi1 + 2.0 * shift, lo2=box.lo2 - shift, hi2=box.hi2 - shift)
-        x1, x2 = grid.midpoints1[:, None], grid.midpoints2[None, :]
-        for rows, _ in _row_blocks(np.empty(shape)):
-            band = self.band_of(params, x1[rows], x2)
-            # Every highly correlated block leaves columns out; a band that
-            # would hold every column is None.
-            if abs(rho) >= 0.998:
-                assert band is not None and band.stop - band.start < shape[1]
-            TestMaskedExp.assert_same_bytes(params, x1[rows], x2)
-        state = sample_state(lambda a, b: wavefunction(params, a, b), grid)
-        want = sample_state(lambda a, b: plain_exp_amplitude(params, a, b), grid)
-        assert state.amplitudes.tobytes() == want.amplitudes.tobytes()
-        assert state.raw_norm == want.raw_norm
-
-    @pytest.mark.parametrize("rho", [0.9, -0.95, 0.999, -0.9999])
-    def test_cells_left_out_lie_below_minus_760(self, rho):
-        # A box of +-45 sigma holds the rows where the band's ends are
-        # widest (t1 = +-rho sqrt(reach), below 40 here).  Every cell outside
-        # a block's band has an exact density exponent below -760, evaluated
-        # in long double from the same t and log(norm); the cells inside
-        # reach it on some row of the block.
-        params = GaussianParams(rho=rho)
-        x1 = np.linspace(-45.0, 45.0, 1301)[:, None]
-        x2 = np.linspace(-45.0, 45.0, 1001)[None, :]
-        d = np.longdouble((1.0 - rho) * (1.0 + rho))
-        row_zero = np.longdouble(-0.5 * log_norm(params))
-        for rows, _ in _row_blocks(np.empty((1301, 1001))):
-            band = self.band_of(params, x1[rows], x2)
-            if band is None:
-                continue
-            t1, t2 = x1[rows].astype(np.longdouble), x2.astype(np.longdouble)
-            exponent = 2 * (row_zero - t1 * t1 / 4 - (t2 - np.longdouble(rho) * t1) ** 2 / (4 * d))
-            outside = np.ones(exponent.shape, dtype=bool)
-            outside[:, band] = False
-            assert not np.any(exponent[outside] >= -760.0)
-            if band.stop > band.start:
-                reached = np.flatnonzero(np.any(exponent >= -760.0, axis=0))
-                assert band.start >= reached[0] - 1 and band.stop <= reached[-1] + 2
-
-    @pytest.mark.parametrize("rows", [[40.0, 45.0], [-45.0, -40.0]])
-    def test_rows_past_the_band_are_all_zero(self, rows):
-        # Rows whose own density exponent -t1^2 / 2 - log(norm) is below
-        # -760 reach no column.
-        params = GaussianParams(rho=0.9)
-        x1, x2 = np.array(rows)[:, None], np.linspace(-50.0, 50.0, 101)[None, :]
-        assert self.band_of(params, x1, x2) == slice(0, 0)
-        TestMaskedExp.assert_same_bytes(params, x1, x2)
-
     @pytest.mark.parametrize("params, x1, x2", [
-        (GaussianParams(rho=0.9995), 0.25, -0.5),
-        (GaussianParams(rho=0.9995), np.linspace(-9.0, 9.0, 40)[:, None],
-         np.linspace(-9.0, 9.0, 50)),
-        (GaussianParams(rho=0.9995), *np.meshgrid(np.linspace(-9.0, 9.0, 40),
-                                                  np.linspace(-9.0, 9.0, 50), indexing="ij")),
-        (GaussianParams(rho=0.9995), np.linspace(-9.0, 9.0, 40)[:, None, None],
-         np.linspace(-9.0, 9.0, 50)[None, None, :]),
         (GaussianParams(rho=-0.9995), np.linspace(-9.0, 9.0, 40)[:, None],
          np.linspace(9.0, -9.0, 50)[None, :]),
-        # |t| too large for the margin: eps S (S + 128 K) > 1.
         (GaussianParams(rho=1.0 - 2.0 ** -50), np.linspace(-1e6, 1e6, 40)[:, None],
          np.linspace(-1e6, 1e6, 50)[None, :]),
         (GaussianParams(sigma1=1e-300), np.array([[-2.0 / 3.0], [0.0], [2.0 / 3.0]]),
          np.array([[-1e300, 0.0, 1e300]])),
-    ], ids=["scalars", "row-vector", "meshgrid", "three-d", "decreasing-x2",
-            "margin", "out-of-range"])
-    def test_other_calls_compute_every_cell(self, params, x1, x2):
-        x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
+        # Rows whose own density exponent -t1^2 / 2 - log(norm) is below
+        # -760: every cell underflows.
+        (GaussianParams(rho=0.9), np.array([[40.0], [45.0]]), np.linspace(-50.0, 50.0, 101)[None, :]),
+        (GaussianParams(rho=0.9), np.array([[-45.0], [-40.0]]), np.linspace(-50.0, 50.0, 101)[None, :]),
+    ], ids=["decreasing-x2", "large-t", "out-of-range", "rows-past-reach", "rows-before-reach"])
+    def test_edge_inputs(self, params, x1, x2):
+        # The out-of-range case has NaN and inf cells, compared as equal.
         with np.errstate(over="ignore", invalid="ignore"):
-            assert self.band_of(params, x1, x2) is None
-            want = plain_exp_density(params, x1, x2)
-            assert np.array_equal(density(params, x1, x2), want, equal_nan=True)
+            assert np.array_equal(density(params, x1, x2), plain_exp_density(params, x1, x2),
+                                  equal_nan=True)
             assert np.array_equal(wavefunction(params, x1, x2),
                                   plain_exp_amplitude(params, x1, x2), equal_nan=True)
+
 
 
 class TestAmplitudeAccuracy:

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,7 +37,10 @@ class TestCoincidenceProbability:
         values = [coincidence_probability(REFERENCE_K, n) for n in range(1, 12)]
         assert all(b < a for a, b in zip(values, values[1:]))
 
-    @pytest.mark.parametrize("K,n", [(0.5, 1), (math.inf, 1), (2.0, 0), (2.0, -3)])
+    @pytest.mark.parametrize("K,n", [(0.5, 1), (math.inf, 1), (2.0, 0), (2.0, -3),
+                                     # Counts that operator.index refuses.
+                                     (3.0, 2.5), (3.0, 3.0), (3.0, np.float64(3.0)),
+                                     (3.0, "3"), (3.0, None)])
     def test_invalid_arguments_rejected(self, K, n):
         with pytest.raises(DomainError):
             coincidence_probability(K, n)
@@ -132,9 +136,15 @@ class TestInfoReport:
         assert report.W == report.I_nats
         assert report.p_coincidence == 0.0
 
-    def test_rounds_must_be_positive(self):
+    @pytest.mark.parametrize("n", [0, 2.5, 3.0])
+    def test_rounds_must_be_a_positive_integer(self, n):
+        # A count of 2.5 would give I_nats = 2.5 ln 3 beside W = 3**2.
         with pytest.raises(DomainError):
-            info_report(2.0, 0)
+            info_report(3.0, n)
+
+    def test_integer_like_counts_are_accepted(self):
+        assert info_report(3.0, np.int64(2)) == info_report(3.0, 2)
+        assert info_report(3.0, True) == info_report(3.0, 1)
 
     @pytest.mark.parametrize("K, n", [
         (2.0, 10 ** 400),  # n does not convert to float
